@@ -5,12 +5,16 @@ perturbation directions alone -- never from the perturbed matrix -- so the
 harness can compare predictions against oracle truth.
 
 Indices are 0-based throughout the library; the CLI translates to the
-1-based convention used in file formats and printed tables.
+1-based convention used in file formats and printed tables.  The indices
+`i`, `j` (and the arguments of `alpha`) may be integer arrays that
+broadcast, so one call tabulates a bound over a whole index grid; scalar
+arguments give Python floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .symmat import PerturbationSet, Spectrum
 
-# A report entry passes when slack >= -PASS_RTOL * max(1, bound).
+# Relative tolerance of the pass rule (see `passes`).
 PASS_RTOL = 1e-9
 # C_m recursion saturates to +inf past this magnitude (bound is vacuous there).
 CM_SATURATION = 1e300
@@ -28,11 +32,23 @@ class JIndexError(ValueError):
     """Rank-one eigenvalue refinement is not applicable; use the rank-m bound."""
 
 
-def alpha(a: float, b: float) -> float:
+def _value(x):
+    """A Python float for a scalar result, the array itself otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def passes(slack, bound):
+    """The pass rule for an observed-vs-certified comparison."""
+    return slack >= -PASS_RTOL * np.maximum(1.0, bound)
+
+
+def alpha(a, b):
     """sqrt(min(a, b) / max(a, b)) for positive a, b; symmetric, in (0, 1]."""
-    if a <= 0.0 or b <= 0.0:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError(f"alpha requires positive arguments, got ({a}, {b})")
-    return math.sqrt(min(a, b) / max(a, b))
+    return _value(np.sqrt(np.minimum(a, b) / np.maximum(a, b)))
 
 
 @dataclass(frozen=True)
@@ -67,10 +83,10 @@ class BoundParams:
         return cls(d=perts.dim, m=perts.m, v_bound=perts.v_bound, v_inf=perts.v_inf)
 
 
-def eigenvalue_bound_rankm(spec: Spectrum, p: BoundParams, i: int) -> tuple[float, float]:
+def eigenvalue_bound_rankm(spec: Spectrum, p: BoundParams, i) -> tuple:
     """Interval [lambda_i, lambda_i (1 + m d v_inf^2)] certain to contain nu_i."""
-    lam = float(spec.lambdas[i])
-    return lam, lam * (1.0 + p.m * p.d * p.v_inf**2)
+    lam = spec.lambdas[i]
+    return _value(lam), _value(lam * (1.0 + p.m * p.d * p.v_inf**2))
 
 
 def j_index(spec: Spectrum, v, i: int) -> int:
@@ -135,45 +151,43 @@ class PsiInfimum(NamedTuple):
     rho: float
 
 
-def psi_inf(w: float) -> PsiInfimum:
+def psi_inf(w) -> PsiInfimum:
     """Exact infimum of psi(., w) over (0, 1).
 
     The decreasing branch 2w/rho meets the increasing branch
     2(1-rho)^{-1/2} at rho* = 2w / (w + sqrt(w^2 + 4)), where both equal
     w + sqrt(w^2 + 4).
     """
-    if w <= 0.0:
+    w = np.asarray(w, dtype=float)
+    if np.any(w <= 0.0):
         raise ValueError(f"w must be positive, got {w}")
-    root = math.sqrt(w * w + 4.0)
-    return PsiInfimum(value=w + root, rho=2.0 * w / (w + root))
+    root = np.sqrt(w * w + 4.0)
+    return PsiInfimum(value=_value(w + root), rho=_value(2.0 * w / (w + root)))
 
 
-def eigvec_bound_rank1(spec: Spectrum, p: BoundParams, i: int, j: int) -> float:
+def eigvec_bound_rank1(spec: Spectrum, p: BoundParams, i, j):
     """min(1, 5 d^2 V^4 alpha(lambda_i, lambda_j)): the m = 1 coordinate bound."""
-    v4 = p.v_bound**4
-    return min(
-        1.0,
-        5.0 * p.d**2 * v4 * alpha(float(spec.lambdas[i]), float(spec.lambdas[j])),
-    )
+    a = alpha(spec.lambdas[i], spec.lambdas[j])
+    return _value(np.minimum(1.0, 5.0 * p.d**2 * p.v_bound**4 * a))
 
 
-def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i: int, j: int) -> float:
+def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
     """Sharper m = 1 coordinate bound, applicable when the eigenvalue ratio
     exceeds 1 + d V^2; returns the trivial bound 1 otherwise.
 
     Also capped at 1: a unit-vector coordinate never exceeds 1, and the raw
     expression blows up towards the applicability boundary.
     """
-    lami = float(spec.lambdas[i])
-    lamj = float(spec.lambdas[j])
-    mx, mn = max(lami, lamj), min(lami, lamj)
+    lami, lamj = spec.lambdas[i], spec.lambdas[j]
+    mx, mn = np.maximum(lami, lamj), np.minimum(lami, lamj)
     v2 = p.v_bound**2
-    if mx <= (1.0 + p.d * v2) * mn:
-        return 1.0
+    applicable = mx > (1.0 + p.d * v2) * mn
     r = mn / mx
     w = (p.d - i) * v2
-    value = w * psi_inf(w).value / (1.0 - (1.0 + w) * r) * math.sqrt(r)
-    return min(1.0, value)
+    # outside the regime the denominator may vanish; those entries are masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = w * psi_inf(w).value / (1.0 - (1.0 + w) * r) * np.sqrt(r)
+    return _value(np.where(applicable, np.minimum(1.0, value), 1.0))
 
 
 def cm_constant(p: BoundParams) -> float:
@@ -196,13 +210,13 @@ def cm_constant(p: BoundParams) -> float:
     return c
 
 
-def eigvec_bound_rankm(spec: Spectrum, p: BoundParams, i: int, j: int) -> float:
-    """min(1, C_m alpha(lambda_i, lambda_j)): coordinate bound for any m >= 0."""
-    c = cm_constant(p)
-    a = alpha(float(spec.lambdas[i]), float(spec.lambdas[j]))
-    if math.isinf(c):
-        return 1.0
-    return min(1.0, c * a)
+def eigvec_bound_rankm(spec: Spectrum, p: BoundParams, i, j):
+    """min(1, C_m alpha(lambda_i, lambda_j)): coordinate bound for any m >= 0.
+
+    A saturated C_m = inf gives the trivial bound 1 (alpha is positive).
+    """
+    a = alpha(spec.lambdas[i], spec.lambdas[j])
+    return _value(np.minimum(1.0, cm_constant(p) * a))
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,24 +260,24 @@ class BoundReport:
             return math.inf
         return min(e.slack for e in self.entries)
 
-    @property
-    def n_entries(self) -> int:
-        return len(self.entries)
-
 
 def make_report(kind: str, entries, notes=()) -> BoundReport:
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
     entries = tuple(entries)
-    passed = all(e.slack >= -PASS_RTOL * max(1.0, e.bound) for e in entries)
+    slack = np.array([e.slack for e in entries], dtype=float)
+    bound = np.array([e.bound for e in entries], dtype=float)
+    passed = bool(np.all(passes(slack, bound)))
     return BoundReport(kind=kind, entries=entries, passed=passed, notes=tuple(notes))
 
 
-def upper_entry(i: int, j: int | None, observed: float, bound: float) -> BoundEntry:
-    return BoundEntry(i=i, j=j, observed=observed, bound=bound, slack=bound - observed)
-
-
-def lower_entry(i: int, j: int | None, observed: float, bound: float) -> BoundEntry:
-    return BoundEntry(
-        i=i, j=j, observed=observed, bound=bound, slack=observed - bound, side="lower"
-    )
+def report_from_arrays(kind: str, i, j, observed, bound, side="upper", notes=()) -> BoundReport:
+    """One report from parallel arrays: entry k compares observed[k] with
+    bound[k] at (i[k], j[k]).  `j` is None for the eigenvalue kinds; `side`
+    is one string for every entry or an array of them."""
+    side = np.broadcast_to(side, bound.shape)
+    slack = np.where(side == "upper", bound - observed, observed - bound)
+    js = [None] * len(i) if j is None else j.tolist()
+    sides = map(sys.intern, side.tolist())  # one shared str per side, not one per entry
+    columns = (i.tolist(), js, observed.tolist(), bound.tolist(), slack.tolist(), sides)
+    return make_report(kind, map(BoundEntry, *columns), notes)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import ast
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,7 +29,6 @@ from .rankone import rankone_full
 from .symmat import PerturbationSet, Spectrum, build_perturbed, jacobi_eig
 
 CSV_HEADER = "d,m,j,lambda1,ratio,observed,bound_rankm,bound_rank1,seed"
-THREADS_ENV = "EIGENPERT_THREADS"
 
 
 class InstanceParseError(ValueError):
@@ -72,12 +70,16 @@ def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance
 
         def as_floats(seq, what):
             try:
-                return [float(x) for x in seq]
+                out = [float(x) for x in seq]
             except (TypeError, ValueError) as exc:
                 raise InstanceParseError(line_no, f"{what} has a non-numeric entry: {exc}") from exc
+            for x, y in zip(seq, out):
+                if isinstance(x, bool) or not math.isfinite(y):
+                    raise InstanceParseError(line_no, f"{what} entry {x!r} is not a finite number")
+            return out
 
         if key == "dim":
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:  # type(), not isinstance: rejects True
                 raise InstanceParseError(line_no, f"dim must be a positive integer, got {value!r}")
             dim = value
         elif key == "lambdas":
@@ -99,7 +101,7 @@ def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance
             vectors.append(as_floats(value, "vector"))
             vector_lines.append(line_no)
         elif key == "seed":
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise InstanceParseError(line_no, f"seed must be an integer, got {value!r}")
             seed = value
         elif key == "recipe":
@@ -194,7 +196,7 @@ def render_bounds_csv(reports) -> str:
     lines = [BOUNDS_CSV_HEADER]
     for rep in reports:
         for e in rep.entries:
-            ok = e.slack >= -bnd.PASS_RTOL * max(1.0, e.bound)
+            ok = bnd.passes(e.slack, e.bound)
             lines.append(
                 ",".join(
                     [
@@ -210,14 +212,6 @@ def render_bounds_csv(reports) -> str:
                 )
             )
     return "\n".join(lines) + "\n"
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_eig(args) -> int:
@@ -287,10 +281,7 @@ def cmd_bounds(args) -> int:
     print("eigenvalues:")
     print("  i  nu_i  interval_lo  interval_hi  bound_rank1  pass")
     for i in sorted(hi):
-        ok = (
-            lo[i].slack >= -bnd.PASS_RTOL * max(1.0, lo[i].bound)
-            and hi[i].slack >= -bnd.PASS_RTOL * max(1.0, hi[i].bound)
-        )
+        ok = bnd.passes(lo[i].slack, lo[i].bound) and bnd.passes(hi[i].slack, hi[i].bound)
         b6s = _fmt(b6[i]) if i in b6 else "-"
         print(
             f"  {i + 1}  {_fmt(hi[i].observed)}  {_fmt(lo[i].bound)}  "
@@ -305,7 +296,7 @@ def cmd_bounds(args) -> int:
     print("eigenvector coordinates:")
     print("  i  j  observed  bound_rank1  bound_refined  bound_rankm  pass")
     for e in vec_m.entries:
-        ok = e.slack >= -bnd.PASS_RTOL * max(1.0, e.bound)
+        ok = bnd.passes(e.slack, e.bound)
         key = (e.i, e.j)
         c8 = _fmt(b8[key]) if key in b8 else "-"
         c9 = _fmt(b9[key]) if key in b9 else "-"
@@ -323,26 +314,18 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = args.threads or _default_threads()
-    if args.d or args.m or args.lambda1_list or args.seed_list or args.seeds:
-        dims = args.d or list(harness.DEFAULT_DIMS)
-        ms = args.m or list(harness.DEFAULT_MS)
-        lam1s = args.lambda1_list or list(harness.DEFAULT_LAMBDA1S)
-        seeds = args.seed_list or list(range(args.seeds or harness.DEFAULT_N_SEEDS))
-        points = [
-            harness.GridPoint(d, m, lam1, seed)
-            for d in dims
-            for m in ms
-            for lam1 in lam1s
-            for seed in seeds
-        ]
-    else:
-        points = harness.default_grid()
-
+    if args.seeds is not None and args.seeds < 1:
+        print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
+        return 2
+    n_seeds = harness.DEFAULT_N_SEEDS if args.seeds is None else args.seeds
+    points = harness.default_grid(
+        args.d or harness.DEFAULT_DIMS,
+        args.m or harness.DEFAULT_MS,
+        args.lambda1_list or harness.DEFAULT_LAMBDA1S,
+        args.seed_list or range(n_seeds),
+    )
     try:
-        summary = harness.certify_grid(
-            points, threads=threads, bound_scale=args.perturb_bound
-        )
+        summary = harness.certify_grid(points, bound_scale=args.perturb_bound)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -386,7 +369,6 @@ def _parse_lambda1_grid(text: str):
 
 
 def cmd_scan(args) -> int:
-    threads = args.threads or _default_threads()
     if args.j == "last":
         j = args.d
     else:
@@ -398,9 +380,7 @@ def cmd_scan(args) -> int:
     records = []
     try:
         for seed in args.seed:
-            records.extend(
-                harness.scan(args.d, args.m, j, args.lambda1, seed, threads=threads)
-            )
+            records.extend(harness.scan(args.d, args.m, j, args.lambda1, seed))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -458,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="scale all bounds by this factor (falsification self-test)",
     )
-    p_verify.add_argument("--threads", type=int)
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="tightness scan over a lambda1 grid")
@@ -474,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scan.add_argument("--seed", type=int, nargs="+", default=[0])
     p_scan.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
-    p_scan.add_argument("--threads", type=int)
     p_scan.set_defaults(func=cmd_scan)
 
     return parser

@@ -10,7 +10,6 @@ reuses the same Gaussian realization at every grid point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +121,8 @@ def gen_instance(d: int, m: int, lambda1: float, seed: int) -> Instance:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2 (the ratio grid is undefined at d={d})")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if lambda1 < 1.0:
         raise ValueError(f"lambda1 must be >= 1, got {lambda1}")
     expo = np.array([(d - 1 - j) / (d - 1) for j in range(d)])
@@ -163,90 +164,92 @@ def gen_rankone_instance(seed: int) -> Instance:
     )
 
 
-def certify(instance: Instance, bound_scale: float = 1.0) -> list:
-    """Evaluate every applicable bound against the oracle decomposition.
-
-    Builds the perturbed matrix, diagonalizes it with the Jacobi oracle
-    (cross-checked against the secular route when m = 1), and returns one
-    BoundReport per applicable inequality.  `bound_scale` multiplies every
-    bound before comparison; values below 1 are used by the falsification
-    self-test.
-    """
-    spec = instance.spectrum
-    perts = instance.perts
-    d = spec.d
-    m = perts.m
-
-    a = build_perturbed(spec, perts)
+def _oracle(instance: Instance) -> EigenDecomposition:
+    """Assemble the perturbed matrix and diagonalize it with the Jacobi oracle;
+    a convergence failure names the instance that caused it."""
+    a = build_perturbed(instance.spectrum, instance.perts)
     try:
-        eig = jacobi_eig(a)
+        return jacobi_eig(a)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"oracle did not converge on instance seed={instance.seed} "
             f"meta={instance.meta}: {exc}",
             residual=exc.residual,
         ) from exc
-    nus = eig.values
-    comp = np.abs(eig.basis)  # comp[j, i] = |[e_i]_j|
-    params = bnd.BoundParams.from_perturbations(perts)
 
+
+def certify(instance: Instance, bound_scale: float = 1.0) -> list:
+    """Evaluate every applicable bound against the oracle decomposition.
+
+    Diagonalizes the perturbed matrix with the Jacobi oracle (cross-checked
+    against the secular route when m = 1) and returns one BoundReport per
+    applicable inequality.  Each bound kind is evaluated once over the whole
+    index grid.  `bound_scale` multiplies every bound before comparison;
+    values below 1 are used by the falsification self-test.
+    """
+    spec = instance.spectrum
+    perts = instance.perts
+    d = spec.d
+    m = perts.m
+
+    eig = _oracle(instance)
     if m == 1:
         _crosscheck_rankone(instance, eig)
+    nus = eig.values
+    params = bnd.BoundParams.from_perturbations(perts)
 
-    reports = []
-
-    entries = []
-    for i in range(d):
-        lo, hi = bnd.eigenvalue_bound_rankm(spec, params, i)
-        entries.append(bnd.lower_entry(i, None, float(nus[i]), lo * bound_scale))
-        entries.append(bnd.upper_entry(i, None, float(nus[i]), hi * bound_scale))
-    reports.append(bnd.make_report("eigenvalue-rankm", entries))
+    idx = np.arange(d)
+    lo, hi = bnd.eigenvalue_bound_rankm(spec, params, idx)
+    reports = [
+        bnd.report_from_arrays(
+            "eigenvalue-rankm",
+            np.repeat(idx, 2),
+            None,
+            np.repeat(nus, 2),
+            np.column_stack([lo, hi]).ravel() * bound_scale,
+            np.tile(["lower", "upper"], d),
+        )
+    ]
 
     if m == 1 and spec.is_strict and not np.any(perts.vectors[0] == 0.0):
         v = perts.vectors[0]
-        entries = []
-        notes = []
-        for i in range(d):
-            b6 = bnd.eigenvalue_bound_rank1(spec, v, i)
-            entries.append(bnd.upper_entry(i, None, float(nus[i]), b6 * bound_scale))
-            _, b5 = bnd.eigenvalue_bound_rankm(spec, params, i)
-            if b6 < b5:
-                notes.append(f"refinement wins at i={i}: {b6:.6g} < {b5:.6g}")
-        reports.append(bnd.make_report("eigenvalue-rank1", entries, notes))
+        b6 = np.array([bnd.eigenvalue_bound_rank1(spec, v, i) for i in range(d)])
+        notes = [
+            f"refinement wins at i={i}: {b6[i]:.6g} < {hi[i]:.6g}"
+            for i in np.flatnonzero(b6 < hi).tolist()
+        ]
+        reports.append(
+            bnd.report_from_arrays(
+                "eigenvalue-rank1", idx, None, nus, b6 * bound_scale, notes=notes
+            )
+        )
 
+    # eigenvector kinds: row-major (i, j) pairs, observed |[e_i]_j|
+    i, j = np.divmod(np.arange(d * d), d)
+    observed = np.abs(eig.basis[j, i])
     cm = bnd.cm_constant(params)
     notes = ["C_m saturated: bound is vacuous (capped at 1)"] if math.isinf(cm) else ()
-    entries = [
-        bnd.upper_entry(
-            i, j, float(comp[j, i]), bnd.eigvec_bound_rankm(spec, params, i, j) * bound_scale
-        )
-        for i in range(d)
-        for j in range(d)
-    ]
-    reports.append(bnd.make_report("eigvec-rankm", entries, notes))
+    rankm = bnd.eigvec_bound_rankm(spec, params, i, j)
+    reports.append(
+        bnd.report_from_arrays("eigvec-rankm", i, j, observed, rankm * bound_scale, notes=notes)
+    )
 
     if m == 1:
-        entries = [
-            bnd.upper_entry(
-                i, j, float(comp[j, i]), bnd.eigvec_bound_rank1(spec, params, i, j) * bound_scale
-            )
-            for i in range(d)
-            for j in range(d)
+        coarse = bnd.eigvec_bound_rank1(spec, params, i, j)
+        reports.append(
+            bnd.report_from_arrays("eigvec-rank1", i, j, observed, coarse * bound_scale)
+        )
+        refined = bnd.eigvec_bound_rank1_refined(spec, params, i, j)
+        worse = refined > coarse
+        notes = [
+            f"refined bound exceeds coarse at (i={a}, j={b})"
+            for a, b in zip(i[worse].tolist(), j[worse].tolist())
         ]
-        reports.append(bnd.make_report("eigvec-rank1", entries))
-
-        entries = []
-        notes = []
-        for i in range(d):
-            for j in range(d):
-                refined = bnd.eigvec_bound_rank1_refined(spec, params, i, j)
-                coarse = bnd.eigvec_bound_rank1(spec, params, i, j)
-                if refined > coarse:
-                    notes.append(f"refined bound exceeds coarse at (i={i}, j={j})")
-                entries.append(
-                    bnd.upper_entry(i, j, float(comp[j, i]), refined * bound_scale)
-                )
-        reports.append(bnd.make_report("eigvec-rank1-refined", entries, notes))
+        reports.append(
+            bnd.report_from_arrays(
+                "eigvec-rank1-refined", i, j, observed, refined * bound_scale, notes=notes
+            )
+        )
 
     return reports
 
@@ -273,14 +276,20 @@ class GridPoint:
     seed: int
 
 
-def default_grid() -> list:
-    """The certification grid: 5 dims x 5 ranks x 5 condition numbers x 5 seeds."""
+def default_grid(
+    dims=DEFAULT_DIMS,
+    ms=DEFAULT_MS,
+    lambda1s=DEFAULT_LAMBDA1S,
+    seeds=range(DEFAULT_N_SEEDS),
+) -> list:
+    """The product grid of dims x ranks x condition numbers x seeds; by
+    default the 625-point certification grid (5 of each)."""
     return [
         GridPoint(d, m, lam1, seed)
-        for d in DEFAULT_DIMS
-        for m in DEFAULT_MS
-        for lam1 in DEFAULT_LAMBDA1S
-        for seed in range(DEFAULT_N_SEEDS)
+        for d in dims
+        for m in ms
+        for lam1 in lambda1s
+        for seed in seeds
     ]
 
 
@@ -296,25 +305,14 @@ class CertifySummary:
         return not self.failures
 
 
-def certify_grid(points, threads: int = 1, bound_scale: float = 1.0) -> CertifySummary:
-    """Certify every grid point; results merge in grid order regardless of
-    completion order, so output is deterministic for any thread count."""
+def certify_grid(points, bound_scale: float = 1.0) -> CertifySummary:
+    """Certify every grid point, in grid order."""
     points = list(points)
-
-    def run(pt: GridPoint):
-        return certify(gen_instance(pt.d, pt.m, pt.lambda1, pt.seed), bound_scale)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_reports = list(pool.map(run, points))
-    else:
-        all_reports = [run(pt) for pt in points]
-
     failures = []
     worst: dict[str, float] = {}
     n_reports = 0
-    for pt, reports in zip(points, all_reports):
-        for rep in reports:
+    for pt in points:
+        for rep in certify(gen_instance(pt.d, pt.m, pt.lambda1, pt.seed), bound_scale):
             n_reports += 1
             worst[rep.kind] = min(worst.get(rep.kind, math.inf), rep.worst_slack)
             if not rep.passed:
@@ -349,7 +347,7 @@ class ScanRecord:
         limit = min(self.bound_rankm, self.bound_rank1) if math.isfinite(
             self.bound_rank1
         ) else self.bound_rankm
-        if self.observed > limit + bnd.PASS_RTOL * max(1.0, limit):
+        if not bnd.passes(limit - self.observed, limit):
             raise ValueError(
                 f"scan record violates soundness: observed {self.observed!r} "
                 f"exceeds bound {limit!r} (d={self.d}, m={self.m}, j={self.j}, "
@@ -357,7 +355,7 @@ class ScanRecord:
             )
 
 
-def scan(d: int, m: int, j: int, lambda1_grid, seed: int, threads: int = 1) -> list:
+def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
     """Sample |[e_1]_j| over a lambda_1 grid with a shared Gaussian realization.
 
     `j` is 1-based (2 <= j <= d).  The grid must be ascending with every
@@ -373,33 +371,30 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int, threads: int = 1) -> l
     if not 2 <= j <= d:
         raise ValueError(f"j must lie in 2..d={d}, got {j}")
 
-    def run(lam1: float) -> ScanRecord:
+    records = []
+    for lam1 in grid:
         inst = gen_instance(d, m, lam1, seed)
-        eig = jacobi_eig(build_perturbed(inst.spectrum, inst.perts))
+        eig = _oracle(inst)
         params = bnd.BoundParams.from_perturbations(inst.perts)
-        observed = abs(float(eig.basis[j - 1, 0]))
-        b10 = bnd.eigvec_bound_rankm(inst.spectrum, params, 0, j - 1)
         b8 = (
             bnd.eigvec_bound_rank1(inst.spectrum, params, 0, j - 1)
             if m == 1
             else math.nan
         )
-        return ScanRecord(
-            d=d,
-            m=m,
-            j=j,
-            lambda1=lam1,
-            ratio=lam1 / float(inst.spectrum.lambdas[j - 1]),
-            observed=observed,
-            bound_rankm=b10,
-            bound_rank1=b8,
-            seed=seed,
+        records.append(
+            ScanRecord(
+                d=d,
+                m=m,
+                j=j,
+                lambda1=lam1,
+                ratio=lam1 / float(inst.spectrum.lambdas[j - 1]),
+                observed=abs(float(eig.basis[j - 1, 0])),
+                bound_rankm=bnd.eigvec_bound_rankm(inst.spectrum, params, 0, j - 1),
+                bound_rank1=b8,
+                seed=seed,
+            )
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, grid))
-    return [run(lam1) for lam1 in grid]
+    return records
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ import numpy as np
 from .symmat import EigenDecomposition, Spectrum, apply_sign_convention
 
 # Coordinate j deflates when |z_j| <= Z_DEFLATION_RTOL * ||z||, or when
-# lambda_j collides with a neighbour within LAMBDA_COLLISION_RTOL * lambda_1.
+# lambda_j lies within LAMBDA_COLLISION_RTOL * lambda_head of the active
+# eigenvalue lambda_head just above it (a relative, local test: graded
+# spectra keep their distinct small eigenvalues).
 Z_DEFLATION_RTOL = 1e-12
 LAMBDA_COLLISION_RTOL = 1e-12
 ROOT_MAX_ITER = 200
@@ -163,13 +165,12 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
 
     # Collapse colliding eigenvalues among the remaining active coordinates:
     # rotate each colliding pair so the later coordinate's weight vanishes.
-    coll_tol = LAMBDA_COLLISION_RTOL * float(lam[0])
     active: list[int] = []
     head = -1
     for j in range(d):
         if deflated[j]:
             continue
-        if head >= 0 and float(lam[head] - lam[j]) <= coll_tol:
+        if head >= 0 and lam[head] - lam[j] <= LAMBDA_COLLISION_RTOL * lam[head]:
             r = math.hypot(z_rot[head], z_rot[j])
             c, s = z_rot[head] / r, z_rot[j] / r
             rotations.append((head, j, c, s))

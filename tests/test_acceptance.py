@@ -267,3 +267,4 @@ def test_criterion_8_falsification_self_test(capsys):
             .split(":")[1]
         )
         assert n_failures > 0
+        assert out == (GOLDEN_DIR / "verify_perturb_bound_0.9.txt").read_text()

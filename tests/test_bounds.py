@@ -27,6 +27,17 @@ class TestAlpha:
         with pytest.raises(ValueError):
             bnd.alpha(1.0, -2.0)
 
+    def test_broadcasts_over_arrays(self):
+        a = np.array([[100.0], [4.0]])
+        b = np.array([1.0, 4.0, 400.0])
+        table = bnd.alpha(a, b)
+        assert table.shape == (2, 3)
+        for r in range(2):
+            for c in range(3):
+                assert table[r, c] == bnd.alpha(float(a[r, 0]), float(b[c]))
+        with pytest.raises(ValueError):
+            bnd.alpha(a, np.array([1.0, 0.0]))
+
     @given(
         st.floats(min_value=1e-8, max_value=1e8),
         st.floats(min_value=1e-8, max_value=1e8),
@@ -222,6 +233,33 @@ class TestEigvecBounds:
             assert b <= prev + 1e-15
             prev = b
 
+    def test_index_arrays_match_scalar_formulas(self):
+        # scalar loop references: the array evaluation keeps the arithmetic
+        # order of the formulas, so agreement is exact
+        spec = Spectrum([1e14, 1e9, 3e3, 40.0, 2.0, 1.0])
+        p = params(6, 1, 0.9)
+        i, j = np.divmod(np.arange(36), 6)
+        coarse = bnd.eigvec_bound_rank1(spec, p, i, j)
+        refined = bnd.eigvec_bound_rank1_refined(spec, p, i, j)
+        rankm = bnd.eigvec_bound_rankm(spec, p, i, j)
+        cm = bnd.cm_constant(p)
+        v2 = p.v_bound**2
+        for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            mn, mx = sorted((float(spec.lambdas[a]), float(spec.lambdas[b])))
+            r = mn / mx
+            assert coarse[k] == min(1.0, 5.0 * p.d**2 * p.v_bound**4 * math.sqrt(r))
+            assert rankm[k] == min(1.0, cm * math.sqrt(r))
+            w = (p.d - a) * v2
+            value = w * (w + math.sqrt(w * w + 4.0)) / (1.0 - (1.0 + w) * r) * math.sqrt(r)
+            assert refined[k] == (1.0 if mx <= (1.0 + p.d * v2) * mn else min(1.0, value))
+        assert 0 < np.count_nonzero(refined < 1.0) < 36
+        assert 0 < np.count_nonzero(rankm < 1.0)
+        lo, hi = bnd.eigenvalue_bound_rankm(spec, p, np.arange(6))
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            bnd.eigenvalue_bound_rankm(spec, p, k) for k in range(6)
+        ]
+        assert isinstance(bnd.eigvec_bound_rankm(spec, p, 0, 1), float)
+
     def test_rankm_randomized_soundness(self):
         rng = np.random.default_rng(53)
         for _ in range(60):
@@ -271,21 +309,53 @@ class TestBoundParams:
         assert p.v_bound == pytest.approx(1.0 / math.sqrt(2.0))
 
 
+def upper_report(observed, bound):
+    n = len(observed)
+    return bnd.report_from_arrays(
+        "eigvec-rankm", np.zeros(n, int), np.ones(n, int), np.array(observed), np.array(bound)
+    )
+
+
 class TestReports:
     def test_pass_rule(self):
-        good = bnd.upper_entry(0, 1, observed=0.5, bound=0.6)
-        rep = bnd.make_report("eigvec-rankm", [good])
+        rep = upper_report([0.5], [0.6])
         assert rep.passed and rep.worst_slack == pytest.approx(0.1)
         # violation beyond -1e-9 * max(1, bound) fails
-        bad = bnd.upper_entry(0, 1, observed=0.5 + 3e-9, bound=0.5)
-        assert not bnd.make_report("eigvec-rankm", [good, bad]).passed
+        assert not upper_report([0.5, 0.5 + 3e-9], [0.6, 0.5]).passed
         # tiny violation within tolerance passes
-        edge = bnd.upper_entry(0, 1, observed=0.5 + 1e-10, bound=0.5)
-        assert bnd.make_report("eigvec-rankm", [edge]).passed
+        assert upper_report([0.5 + 1e-10], [0.5]).passed
+        # entries built elsewhere are judged by the same rule
+        bad = bnd.BoundEntry(0, 1, observed=0.5 + 3e-9, bound=0.5, slack=-3e-9)
+        assert not bnd.make_report("eigvec-rankm", [bad]).passed
 
     def test_lower_entries(self):
-        e = bnd.lower_entry(0, None, observed=5.0, bound=4.0)
+        rep = bnd.report_from_arrays(
+            "eigenvalue-rankm", np.array([0]), None, np.array([5.0]), np.array([4.0]), "lower"
+        )
+        (e,) = rep.entries
         assert e.side == "lower" and e.slack == pytest.approx(1.0)
+
+    def test_pass_rule_broadcasts(self):
+        slack = np.array([0.0, -0.5e-9, -2e-9, -1.5e-6])
+        bound = np.array([0.5, 0.5, 0.5, 1e3])
+        assert bnd.passes(slack, bound).tolist() == [True, True, False, False]
+
+    def test_report_from_arrays(self):
+        rep = bnd.report_from_arrays(
+            "eigenvalue-rankm",
+            np.array([0, 0]),
+            None,
+            np.array([5.0, 5.0]),
+            np.array([4.0, 6.0]),
+            np.array(["lower", "upper"]),
+        )
+        assert rep.passed and rep.notes == ()
+        assert rep.entries == (
+            bnd.BoundEntry(0, None, 5.0, 4.0, 1.0, "lower"),
+            bnd.BoundEntry(0, None, 5.0, 6.0, 1.0, "upper"),
+        )
+        assert {type(v) for e in rep.entries for v in (e.observed, e.bound, e.slack)} == {float}
+        assert {type(e.i) for e in rep.entries} == {int}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

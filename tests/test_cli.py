@@ -7,6 +7,7 @@ import pytest
 from eigenpert import cli, harness
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 GOLDEN_100 = INSTANCES / "golden_d2_lambda100.txt"
 GOLDEN_1E4 = INSTANCES / "golden_d2_lambda1e4.txt"
@@ -67,6 +68,26 @@ class TestInstanceFormat:
         with pytest.raises(cli.InstanceParseError, match="non-numeric"):
             cli.parse_instance_text('lambdas = [2.0, "x"]\n')
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("dim = True\nlambdas = [2.0]\n", 1, "dim must be a positive integer"),
+            ("lambdas = [2.0, 1.0]\nseed = True\n", 2, "seed must be an integer"),
+            ("lambdas = [1e999, 1.0]\n", 1, "not a finite number"),
+            ("lambdas = [2.0, 1.0]\nvector = [1.0, 1e999]\n", 2, "not a finite number"),
+            ("lambdas = [2.0, 1.0]\nvectors = [[1.0, -1e999]]\n", 2, "not a finite number"),
+            ("lambdas = [2.0, True]\n", 1, "entry True is not a finite number"),
+        ],
+    )
+    def test_rejected_values_exit_2(self, capsys, tmp_path, text, line_no, message):
+        with pytest.raises(cli.InstanceParseError, match=message) as err:
+            cli.parse_instance_text(text)
+        assert err.value.line_no == line_no
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        assert cli.main(["eig", str(f)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
+
 
 class TestCmdEig:
     def test_golden_prints_quadratic_root(self, capsys):
@@ -121,6 +142,13 @@ class TestCmdEig:
 
 
 class TestCmdBounds:
+    @pytest.mark.parametrize("path", sorted(INSTANCES.glob("*.txt")), ids=lambda p: p.stem)
+    def test_golden_output(self, capsys, tmp_path, path):
+        csv = tmp_path / "bounds.csv"
+        assert cli.main(["bounds", str(path), "--csv", str(csv)]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"bounds_{path.stem}.txt").read_text()
+        assert csv.read_bytes() == (GOLDEN_DIR / f"bounds_{path.stem}.csv").read_bytes()
+
     def test_golden_passes_and_shows_cm(self, capsys):
         assert cli.main(["bounds", str(GOLDEN_100)]) == 0
         out = capsys.readouterr().out
@@ -194,6 +222,23 @@ class TestCmdVerify:
         assert rc == 0
         assert "instances: 625" in out
         assert "failures: 0" in out
+        assert out == (GOLDEN_DIR / "verify_default.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["verify", "--d", "2", "--m", "-1", "--seeds", "1"], "m must be >= 0"),
+            (["verify", "--d", "2", "--m", "0", "--seeds", "-1"], "--seeds must be >= 1"),
+            (["verify", "--seeds", "0"], "--seeds must be >= 1"),
+            (["scan", "--d", "3", "--m", "-1", "--j", "2", "--lambda1", "1e2:1e6:3"],
+             "m must be >= 0"),
+        ],
+    )
+    def test_bad_rank_or_seed_count_exit_2(self, capsys, args, message):
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "PASS" not in captured.out
 
 
 class TestCmdScan:
@@ -258,7 +303,7 @@ class TestCmdScan:
                 "--lambda1", "1e2:1e6:5", "--seed", "3"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(args + ["--out", str(a)]) == 0
-        assert cli.main(args + ["--out", str(b), "--threads", "4"]) == 0
+        assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_unwritable_path(self, capsys):
@@ -289,16 +334,3 @@ class TestCmdScan:
                        "--lambda1-list", "0.5"])
         assert rc == 2
         assert "lambda1" in capsys.readouterr().err
-
-
-class TestEnvThreads:
-    def test_env_var_default(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        out = tmp_path / "scan.csv"
-        rc = cli.main(
-            ["scan", "--d", "2", "--m", "1", "--j", "2",
-             "--lambda1", "1e2:1e6:5", "--seed", "0", "--out", str(out)]
-        )
-        assert rc == 0
-        monkeypatch.setenv(cli.THREADS_ENV, "not-a-number")
-        assert cli._default_threads() == 1

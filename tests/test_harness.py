@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from eigenpert import bounds as bnd
 from eigenpert import harness
 from eigenpert.bounds import PASS_RTOL
-from eigenpert.symmat import build_perturbed, jacobi_eig
+from eigenpert.symmat import ConvergenceError, build_perturbed, jacobi_eig
 from conftest import s_formula
 
 
@@ -51,6 +52,10 @@ class TestGenInstance:
             harness.gen_instance(1, 0, 10.0, seed=0)
         with pytest.raises(ValueError, match="lambda1"):
             harness.gen_instance(3, 0, 0.5, seed=0)
+
+    def test_rejects_negative_rank(self):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            harness.gen_instance(3, -1, 10.0, seed=0)
 
     def test_gaussian_vector_moments(self):
         # sanity on the polar transform: mean ~ 0, var ~ 1 over a big sample
@@ -108,15 +113,46 @@ class TestCertify:
         assert summary.passed
         assert summary.worst_slack["eigvec-rankm"] >= -PASS_RTOL
 
-    def test_grid_deterministic_across_threads(self):
-        points = [harness.GridPoint(3, m, 1e4, s) for m in (0, 1, 2) for s in (0, 1)]
-        a = harness.certify_grid(points, threads=1)
-        b = harness.certify_grid(points, threads=4)
-        assert a == b
-
     def test_default_grid_shape(self):
         grid = harness.default_grid()
         assert len(grid) == 625
+
+    def test_grid_axes(self):
+        grid = harness.default_grid([3], [0, 2], [1e4], range(2))
+        assert grid == [harness.GridPoint(3, m, 1e4, s) for m in (0, 2) for s in (0, 1)]
+
+    def test_reports_follow_scalar_bounds(self):
+        # the grid-wide evaluation agrees entry by entry with scalar calls
+        inst = harness.gen_instance(4, 1, 1e6, seed=2)
+        params = bnd.BoundParams.from_perturbations(inst.perts)
+        scalar = {
+            "eigvec-rankm": bnd.eigvec_bound_rankm,
+            "eigvec-rank1": bnd.eigvec_bound_rank1,
+            "eigvec-rank1-refined": bnd.eigvec_bound_rank1_refined,
+        }
+        reports = {r.kind: r for r in harness.certify(inst)}
+        for kind, fn in scalar.items():
+            entries = reports[kind].entries
+            assert [(e.i, e.j) for e in entries] == [(i, j) for i in range(4) for j in range(4)]
+            for e in entries:
+                assert e.bound == fn(inst.spectrum, params, e.i, e.j)
+        ev = reports["eigenvalue-rankm"].entries
+        assert [e.side for e in ev[:2]] == ["lower", "upper"]
+        for e in ev:
+            lo, hi = bnd.eigenvalue_bound_rankm(inst.spectrum, params, e.i)
+            assert e.bound == (lo if e.side == "lower" else hi)
+
+    def test_oracle_failure_names_instance(self, monkeypatch):
+        def diverge(a):
+            raise ConvergenceError("sweep limit", residual=1.0)
+
+        monkeypatch.setattr(harness, "jacobi_eig", diverge)
+        inst = harness.gen_instance(3, 1, 1e2, seed=4)
+        with pytest.raises(ConvergenceError, match="seed=4 meta=grid") as err:
+            harness.certify(inst)
+        assert err.value.residual == 1.0
+        with pytest.raises(ConvergenceError, match="seed=4 meta=grid"):
+            harness.scan(3, 1, 2, [1e2], seed=4)
 
     def test_saturated_cm_is_flagged(self):
         reports = harness.certify(harness.gen_instance(20, 5, 1e4, seed=0))
@@ -174,11 +210,6 @@ class TestScan:
             harness.scan(2, 1, 2, [0.5, 2.0], seed=0)
         with pytest.raises(ValueError, match="j must lie"):
             harness.scan(3, 1, 4, [1e2, 1e4], seed=0)
-
-    def test_threads_do_not_change_output(self):
-        a = harness.scan(4, 2, 4, np.logspace(2, 6, 5), seed=5, threads=1)
-        b = harness.scan(4, 2, 4, np.logspace(2, 6, 5), seed=5, threads=3)
-        assert a == b
 
 
 class TestFitSlope:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenpert.harness import gen_rankone_instance
+from eigenpert.harness import CROSSCHECK_RTOL, gen_rankone_instance
 from eigenpert.rankone import (
     DeflationError,
     RankOneUpdate,
@@ -186,6 +186,17 @@ class TestDeflation:
         assert sol.deflated.sum() == 1
         assert sol.values[0] > 3.0
         assert np.count_nonzero(np.isnan(sol.normalizers)) == 1
+
+    def test_graded_spectrum_keeps_distinct_small_eigenvalues(self):
+        # consecutive eigenvalues 10^(12/63) apart: the collision test is
+        # relative to the local eigenvalue, so none of them merge even though
+        # their gaps fall below 1e-12 * lambda_1
+        spec = Spectrum(10.0 ** np.linspace(12.0, 0.0, 64))
+        v = np.full(64, 0.5)
+        secular = rankone_full(spec, v).values
+        oracle = jacobi_eig(build_perturbed(spec, PerturbationSet([v]))).values
+        tol = CROSSCHECK_RTOL * np.maximum(1.0, np.abs(oracle))
+        assert np.all(np.abs(secular - oracle) <= tol)
 
     def test_pole_sticking_raises_deflation_error(self):
         # a weight just above the deflation threshold leaves its root within
