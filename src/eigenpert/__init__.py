@@ -33,7 +33,6 @@ from .harness import (
 from .rankone import (
     RankOneUpdate,
     SecularSolution,
-    bns_eigenvector,
     rankone_full,
     secular_eigenvalues,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "BoundEntry",
     "BoundParams",
     "BoundReport",
-    "bns_eigenvector",
     "build_perturbed",
     "certify",
     "certify_grid",

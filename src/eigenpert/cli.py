@@ -25,8 +25,8 @@ import numpy as np
 
 from . import bounds as bnd
 from . import harness
-from .rankone import rankone_full
-from .symmat import PerturbationSet, Spectrum, build_perturbed, jacobi_eig
+from .rankone import DeflationError, SecularBracketError, rankone_full
+from .symmat import ConvergenceError, PerturbationSet, Spectrum, build_perturbed, jacobi_eig
 
 CSV_HEADER = "d,m,j,lambda1,ratio,observed,bound_rankm,bound_rank1,seed"
 
@@ -393,6 +393,8 @@ def cmd_scan(args) -> int:
             fit = harness.fit_slope(records)
         except harness.InsufficientDataError:
             fit_note = "insufficient points"
+        except ValueError:
+            fit_note = "not fittable (non-positive observed value)"
     text = render_scan_csv(records, fit=fit, fit_note=fit_note)
     if args.out == "-":
         sys.stdout.write(text)
@@ -460,7 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (
+        ConvergenceError,
+        harness.OracleMismatchError,
+        DeflationError,
+        SecularBracketError,
+    ) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

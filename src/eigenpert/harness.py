@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bnd
-from .rankone import rankone_full
+from .rankone import RankOneUpdate, secular_eigenvalues
 from .symmat import (
     ConvergenceError,
     EigenDecomposition,
@@ -256,14 +256,16 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
 
 def _crosscheck_rankone(instance: Instance, oracle: EigenDecomposition) -> None:
     """Jacobi vs secular eigenvalues must agree to CROSSCHECK_RTOL."""
-    sec = rankone_full(instance.spectrum, instance.perts.vectors[0])
+    sec = secular_eigenvalues(
+        RankOneUpdate.from_direction(instance.spectrum, instance.perts.vectors[0])
+    )
     diff = np.abs(sec.values - oracle.values)
     tol = CROSSCHECK_RTOL * np.maximum(1.0, np.abs(oracle.values))
     if np.any(diff > tol):
         i = int(np.argmax(diff - tol))
         raise OracleMismatchError(
             f"secular and Jacobi eigenvalues disagree at index {i}: "
-            f"{sec.values[i]!r} vs {oracle.values[i]!r} "
+            f"{float(sec.values[i])!r} vs {float(oracle.values[i])!r} "
             f"(instance seed={instance.seed}, meta={instance.meta})"
         )
 

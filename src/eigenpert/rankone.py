@@ -79,14 +79,12 @@ class SecularSolution:
     """Updated eigenvalues (descending) plus deflation bookkeeping.
 
     `deflated[k]` is True where the update left the original eigenvalue
-    fixed; `normalizers[k]` holds the BNS constant C for non-deflated
-    positions (nan elsewhere).  The private fields record the rotated
-    weights and the Givens rotations needed to assemble eigenvectors.
+    fixed.  The private fields record the rotated weights and the Givens
+    rotations needed to assemble eigenvectors.
     """
 
     values: np.ndarray
     deflated: np.ndarray
-    normalizers: np.ndarray
     _slots: np.ndarray = field(repr=False)            # sorted position -> coordinate
     _active: np.ndarray = field(repr=False)           # active coordinates, lambda descending
     _anchor: np.ndarray = field(repr=False)           # per active root: anchor active index
@@ -95,7 +93,7 @@ class SecularSolution:
     _rotations: tuple = field(repr=False)
 
     def __post_init__(self):
-        for name in ("values", "deflated", "normalizers"):
+        for name in ("values", "deflated"):
             arr = getattr(self, name)
             arr.flags.writeable = False
 
@@ -234,18 +232,10 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
     slot_values[act] = roots
     order = np.argsort(-slot_values, kind="stable")
 
-    # BNS normalizers for the non-deflated roots
-    slot_norm = np.full(d, np.nan)
-    for i in range(n):
-        dens = (la - la[anchors[i]]) - mus[i]
-        comps = z_rot[act] / dens
-        slot_norm[act[i]] = 1.0 / float(np.linalg.norm(comps))
-
     values = slot_values[order]
     sol = SecularSolution(
         values=values,
         deflated=deflated[order].copy(),
-        normalizers=slot_norm[order],
         _slots=order.copy(),
         _active=act,
         _anchor=anchors,
@@ -269,62 +259,37 @@ def _check_interlacing(u: RankOneUpdate, sol: SecularSolution) -> None:
     ):
         bad = int(np.argmax((sol.values < lam - slack) | (sol.values > lam * (1.0 + d * vinf2) + slack)))
         raise SecularBracketError(
-            f"secular root {bad} violates interlacing: nu={sol.values[bad]!r} "
-            f"lambda={lam[bad]!r}",
+            f"secular root {bad} violates interlacing: nu={float(sol.values[bad])!r} "
+            f"lambda={float(lam[bad])!r}",
             bracket=(float(lam[bad]), float(lam[bad] * (1.0 + d * vinf2))),
             residuals=(float(sol.values[bad] - lam[bad]),),
         )
 
 
-def _back_rotate(vec: np.ndarray, rotations: tuple) -> np.ndarray:
-    """Undo the deflation rotations (apply G^T, reversed order)."""
-    out = vec.copy()
-    for (j, k, c, s) in reversed(rotations):
-        xj, xk = out[j], out[k]
-        out[j] = c * xj - s * xk
-        out[k] = s * xj + c * xk
-    return out
+def rankone_full(spec: Spectrum, v) -> EigenDecomposition:
+    """Full eigendecomposition of D + sqrt(D) v v^T sqrt(D) via the secular path.
 
-
-def bns_eigenvector(u: RankOneUpdate, s: SecularSolution, i: int) -> np.ndarray:
-    """Unit eigenvector for the i-th (descending) eigenvalue of D + z z^T.
-
-    Deflated positions return the (rotation-adjusted) canonical basis vector
-    of their coordinate; the rest use the BNS components in the deflated
-    frame and are rotated back.
+    Row k of the denominator matrix holds lambda_j - nu_k over the active
+    coordinates j; its BNS components z_j / (lambda_j - nu_k), normalized,
+    fill the eigenvector column of active root k.  Deflated coordinates keep
+    their unit vector, and the collision rotations are undone on the rows.
     """
-    d = s.d
-    if not 0 <= i < d:
-        raise IndexError(f"eigenvector index {i} out of range for d={d}")
-    slot = int(s._slots[i])
-    if s.deflated[i]:
-        vec = np.zeros(d)
-        vec[slot] = 1.0
-        return apply_sign_convention(
-            _back_rotate(vec, s._rotations).reshape(d, 1)
-        )[:, 0]
-
-    pos = int(np.nonzero(s._active == slot)[0][0])
-    la = u.spectrum.lambdas[s._active]
-    dens = (la - la[s._anchor[pos]]) - s._mu[pos]
-    nu = s.values[i]
+    sol = secular_eigenvalues(RankOneUpdate.from_direction(spec, v))
+    act = sol._active
+    la = spec.lambdas[act]
+    dens = (la - la[sol._anchor][:, None]) - sol._mu[:, None]
     tight = np.abs(dens) <= POLE_PROXIMITY_RTOL * la
     if np.any(tight):
-        j = int(s._active[int(np.argmax(tight))])
+        k, j = np.argwhere(tight)[0]
         raise DeflationError(
-            f"secular root nu={nu!r} lies within 1e-14 relative of undeflated "
-            f"pole lambda[{j}]={u.spectrum.lambdas[j]!r}; deflation thresholds "
-            "are misconfigured"
+            f"secular root nu={float(la[sol._anchor[k]] + sol._mu[k])!r} lies within "
+            f"1e-14 relative of undeflated pole lambda[{act[j]}]={float(la[j])!r}; "
+            "deflation thresholds are misconfigured"
         )
-    vec = np.zeros(d)
-    vec[s._active] = s._z_rot[s._active] / dens
-    vec *= 1.0 / float(np.linalg.norm(vec))
-    return apply_sign_convention(_back_rotate(vec, s._rotations).reshape(d, 1))[:, 0]
-
-
-def rankone_full(spec: Spectrum, v) -> EigenDecomposition:
-    """Full eigendecomposition of D + sqrt(D) v v^T sqrt(D) via the secular path."""
-    u = RankOneUpdate.from_direction(spec, v)
-    sol = secular_eigenvalues(u)
-    basis = np.column_stack([bns_eigenvector(u, sol, i) for i in range(spec.d)])
-    return EigenDecomposition(sol.values.copy(), basis)
+    comps = sol._z_rot[act] / dens
+    comps *= 1.0 / np.linalg.norm(comps, axis=1, keepdims=True)
+    basis = np.eye(spec.d)
+    basis[np.ix_(act, act)] = comps.T
+    for (j, k, c, s) in reversed(sol._rotations):
+        basis[j], basis[k] = c * basis[j] - s * basis[k], s * basis[j] + c * basis[k]
+    return EigenDecomposition(sol.values, apply_sign_convention(basis[:, sol._slots]))

@@ -195,10 +195,6 @@ class EigenDecomposition:
     def d(self) -> int:
         return int(self.values.size)
 
-    def component(self, i: int, j: int) -> float:
-        """Coordinate j of eigenvector i (0-based)."""
-        return float(self.basis[j, i])
-
 
 def apply_sign_convention(basis: np.ndarray) -> np.ndarray:
     """Flip column signs so the first component with |x| > 1e-12 is positive."""
@@ -272,20 +268,13 @@ def jacobi_eig(
                 t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(tau, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                cp = m[:, p].copy()
-                cq = m[:, q].copy()
-                m[:, p] = c * cp - s * cq
-                m[:, q] = s * cp + c * cq
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
+                # each right-hand side is evaluated in full before either
+                # column (row) is written back
+                m[:, p], m[:, q] = c * m[:, p] - s * m[:, q], s * m[:, p] + c * m[:, q]
+                m[p, :], m[q, :] = c * m[p, :] - s * m[q, :], s * m[p, :] + c * m[q, :]
                 m[p, q] = 0.0
                 m[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
         sweeps += 1
     vals = np.diag(m).copy()
     order = np.argsort(-vals, kind="stable")

@@ -169,6 +169,12 @@ class TestCmdBounds:
         assert cli.main(["bounds", str(GOLDEN_1E4)]) == 0
         assert capsys.readouterr().out == first
 
+    def test_tiny_weight_m1_passes(self, capsys, tmp_path):
+        f = tmp_path / "tiny.txt"
+        f.write_text("lambdas = [4.0, 2.0, 1.0]\nvector = [1.0, 1e-7, 1.0]\n")
+        assert cli.main(["bounds", str(f)]) == 0
+        assert capsys.readouterr().out.endswith("overall: PASS\n")
+
     def test_parse_error_exit(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("lambdas = []\n")
@@ -239,6 +245,32 @@ class TestCmdVerify:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert "PASS" not in captured.out
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize(
+        "args, text, message",
+        [
+            (["verify", "--d", "3", "--m", "1", "--lambda1-list", "1e300", "--seeds", "1"],
+             None, "secular and Jacobi eigenvalues disagree at index 1: 1e+150 vs "),
+            (["eig", "{f}", "--method", "secular"],
+             "lambdas = [2.0, 1.0]\nvector = [0.7071067811865476, 1e-11]\n",
+             "secular root nu=1.0 lies within 1e-14 relative of undeflated pole "
+             "lambda[1]=1.0"),
+        ],
+        ids=["oracle-mismatch", "deflation"],
+    )
+    def test_exit_3_with_one_error_line(self, capsys, tmp_path, args, text, message):
+        f = tmp_path / "instance.txt"
+        if text is not None:
+            f.write_text(text)
+        assert cli.main([a.format(f=f) for a in args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert "np.float64" not in lines[0]
 
 
 class TestCmdScan:
@@ -328,6 +360,19 @@ class TestCmdScan:
         rc = cli.main(["scan", "--d", "3", "--m", "1", "--j", "second",
                        "--lambda1", "1e2:1e4:3", "--seed", "0"])
         assert rc == 2
+
+    def test_unfittable_observed_footer(self, tmp_path):
+        # from lambda_1 = 1e52 on the oracle returns |[e_1]_2| = 0
+        out = tmp_path / "scan.csv"
+        rc = cli.main(
+            ["scan", "--d", "3", "--m", "1", "--j", "2",
+             "--lambda1", "1e2:1e60:5", "--out", str(out)]
+        )
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 7
+        assert lines[-2].split(",")[5] == "0"
+        assert lines[-1] == "# slope: not fittable (non-positive observed value)"
 
     def test_verify_bad_lambda1(self, capsys):
         rc = cli.main(["verify", "--d", "2", "--m", "0", "--seeds", "1",

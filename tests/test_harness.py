@@ -154,6 +154,20 @@ class TestCertify:
         with pytest.raises(ConvergenceError, match="seed=4 meta=grid"):
             harness.scan(3, 1, 2, [1e2], seed=4)
 
+    def test_tiny_weight_crosschecks_eigenvalues_only(self):
+        # the secular eigenvectors of this instance would hit the pole check
+        # (rankone_full raises DeflationError); its eigenvalues are fine, and
+        # they are all the cross-check compares
+        from eigenpert.symmat import PerturbationSet, Spectrum
+
+        inst = harness.Instance(
+            spectrum=Spectrum([4.0, 2.0, 1.0]),
+            perts=PerturbationSet([[1.0, 1e-7, 1.0]]),
+            seed=0,
+            meta="tiny-weight",
+        )
+        assert all(r.passed for r in harness.certify(inst))
+
     def test_saturated_cm_is_flagged(self):
         reports = harness.certify(harness.gen_instance(20, 5, 1e4, seed=0))
         rep = next(r for r in reports if r.kind == "eigvec-rankm")

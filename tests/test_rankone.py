@@ -7,7 +7,6 @@ from eigenpert.harness import CROSSCHECK_RTOL, gen_rankone_instance
 from eigenpert.rankone import (
     DeflationError,
     RankOneUpdate,
-    bns_eigenvector,
     rankone_full,
     secular_eigenvalues,
 )
@@ -74,46 +73,42 @@ class TestSecularEigenvalues:
 
 
 class TestBnsEigenvector:
+    # the columns of rankone_full's basis are the BNS eigenvectors
     def test_zero_update_gives_canonical_vectors(self):
-        u = update([3.0, 2.0, 1.0], [0.0, 0.0, 0.0])
-        sol = secular_eigenvalues(u)
+        basis = rankone_full(Spectrum([3.0, 2.0, 1.0]), [0.0, 0.0, 0.0]).basis
         for i in range(3):
-            vec = bns_eigenvector(u, sol, i)
             expected = np.zeros(3)
             expected[i] = 1.0
-            assert np.array_equal(vec, expected)
+            assert np.array_equal(basis[:, i], expected)
 
     def test_closed_form_2x2(self):
-        # top eigenvector of [[3,1],[1,2]] is (1, (sqrt(5)-1)/2) normalized
-        u = update([2.0, 1.0], [1.0, 1.0])
-        sol = secular_eigenvalues(u)
-        vec = bns_eigenvector(u, sol, 0)
+        # top eigenvector of [[3,1],[1,2]] is (1, (sqrt(5)-1)/2) normalized;
+        # v = z / sqrt(lambda) gives z = (1, 1)
+        vec = rankone_full(Spectrum([2.0, 1.0]), [1.0 / math.sqrt(2.0), 1.0]).basis[:, 0]
         g = (math.sqrt(5.0) - 1.0) / 2.0
         expected = np.array([1.0, g]) / math.sqrt(1.0 + g * g)
         np.testing.assert_allclose(vec, expected, atol=1e-14)
 
     def test_matches_jacobi_eigenvector(self):
         spec = Spectrum([100.0, 1.0])
-        u = RankOneUpdate(spec, np.array([10.0, 1.0]))
-        sol = secular_eigenvalues(u)
+        vec = rankone_full(spec, [1.0, 1.0]).basis[:, 0]
         oracle = jacobi_eig(build_perturbed(spec, PerturbationSet([[1.0, 1.0]])))
-        vec = bns_eigenvector(u, sol, 0)
         ref = align_sign(oracle.basis[:, 0], vec)
         assert np.linalg.norm(vec - ref) <= 1e-9
 
     def test_normalizers_match_component_formula(self):
+        # [e_i]_j = C_i z_j / (lambda_j - nu_i), C_i the reciprocal norm
         inst = gen_rankone_instance(3)
         u = RankOneUpdate.from_direction(inst.spectrum, inst.perts.vectors[0])
         sol = secular_eigenvalues(u)
+        basis = rankone_full(inst.spectrum, inst.perts.vectors[0]).basis
         lam = inst.spectrum.lambdas
+        assert not sol.deflated.any()
         for i in range(sol.d):
-            if sol.deflated[i]:
-                assert math.isnan(sol.normalizers[i])
-                continue
-            vec = bns_eigenvector(u, sol, i)
-            direct = sol.normalizers[i] * u.z / (lam - sol.values[i])
-            direct = align_sign(direct, vec)
-            np.testing.assert_allclose(vec, direct, atol=1e-9)
+            comps = u.z / (lam - sol.values[i])
+            direct = comps / float(np.linalg.norm(comps))
+            direct = align_sign(direct, basis[:, i])
+            np.testing.assert_allclose(basis[:, i], direct, atol=1e-9)
 
 
 class TestRankoneFull:
@@ -172,12 +167,11 @@ class TestDeflation:
     def test_tied_block_eigenvectors_are_valid(self):
         lam = [2.0, 1.0, 1.0]
         z = np.array([0.5, 0.4, 0.3])
-        u = update(lam, z)
-        sol = secular_eigenvalues(u)
+        eig = rankone_full(Spectrum(lam), z / np.sqrt(lam))
         a = np.diag(np.array(lam)) + np.outer(z, z)
         for i in range(3):
-            vec = bns_eigenvector(u, sol, i)
-            resid = a @ vec - sol.values[i] * vec
+            vec = eig.basis[:, i]
+            resid = a @ vec - eig.values[i] * vec
             assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(a)
 
     def test_flags_and_values_for_mixed_deflation(self):
@@ -185,7 +179,6 @@ class TestDeflation:
         # one secular root above 3, one above 1, and the rotated-out copy at 1
         assert sol.deflated.sum() == 1
         assert sol.values[0] > 3.0
-        assert np.count_nonzero(np.isnan(sol.normalizers)) == 1
 
     def test_graded_spectrum_keeps_distinct_small_eigenvalues(self):
         # consecutive eigenvalues 10^(12/63) apart: the collision test is
@@ -201,10 +194,9 @@ class TestDeflation:
     def test_pole_sticking_raises_deflation_error(self):
         # a weight just above the deflation threshold leaves its root within
         # 1e-14 relative of the pole; the vector formula must refuse it
-        u = update([2.0, 1.0], [1.0, 1e-11])
-        sol = secular_eigenvalues(u)
+        # (v = z / sqrt(lambda) for z = (1, 1e-11))
         with pytest.raises(DeflationError, match="misconfigured"):
-            bns_eigenvector(u, sol, 1)
+            rankone_full(Spectrum([2.0, 1.0]), [1.0 / math.sqrt(2.0), 1e-11])
 
 
 class TestBnsOracleSweep:
