@@ -15,7 +15,6 @@ from .bounds import (
     eigvec_bound_rank1_refined,
     eigvec_bound_rankm,
     j_index,
-    psi,
     psi_inf,
 )
 from .harness import (
@@ -72,7 +71,6 @@ __all__ = [
     "j_index",
     "jacobi_eig",
     "PerturbationSet",
-    "psi",
     "psi_inf",
     "RankOneUpdate",
     "rankone_full",

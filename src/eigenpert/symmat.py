@@ -199,11 +199,11 @@ class EigenDecomposition:
 def apply_sign_convention(basis: np.ndarray) -> np.ndarray:
     """Flip column signs so the first component with |x| > 1e-12 is positive."""
     out = np.array(basis, dtype=float)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.flatnonzero(np.abs(col) > SIGN_PIVOT_TOL)
-        if idx.size and col[idx[0]] < 0.0:
-            out[:, k] = -col
+    # argmax finds the first entry above the tolerance; in a column with none
+    # it lands on an entry with |x| <= 1e-12, which never asks for a flip
+    lead = np.argmax(np.abs(out) > SIGN_PIVOT_TOL, axis=0)
+    flip = out[lead, np.arange(out.shape[1])] < -SIGN_PIVOT_TOL
+    out[:, flip] = -out[:, flip]
     return out
 
 
@@ -243,11 +243,32 @@ def jacobi_eig(
     Sweeps stop once the off-diagonal Frobenius norm drops below
     `rel_tol` times the Frobenius norm of the input, or fail after
     `max_sweeps` sweeps with a ConvergenceError carrying the residual.
+    An input whose Frobenius norm overflows has no finite target; unless it
+    is already diagonal it fails at once with residual inf.
+
+    Each rotation computes A J (the columns p and q of A, together with
+    those of the basis) and mirrors A's rows p and q from those columns:
+    outside the 2x2 block the row update of J^T A J would repeat the same
+    products and give the same bits, and A stays exactly symmetric.  The
+    2x2 block is formed from its old entries with the column-then-row
+    arithmetic of the two-sided update.
     """
-    m = np.array(a.entries, dtype=float)
     d = a.dim
-    v = np.eye(d)
-    fro = float(np.linalg.norm(m))
+    # Row k of w is row k of A (its column k, A being symmetric) followed by
+    # column k of the basis: rotating the contiguous rows p and q of w
+    # rotates the columns p and q of A and of the basis in one step.
+    w = np.hstack([a.entries, np.eye(d)])
+    m = w[:, :d]
+    w_rows = list(w)
+    m_rows = list(m)
+    m_cols = list(m.T)
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(a.entries))
+    if math.isinf(fro) and np.any(m[~np.eye(d, dtype=bool)]):
+        raise ConvergenceError(
+            "Jacobi cannot start: the Frobenius norm of the matrix overflows",
+            residual=math.inf,
+        )
     tol = rel_tol * fro
     sweeps = 0
     while _offdiag_norm(m) > tol:
@@ -259,26 +280,35 @@ def jacobi_eig(
                 residual=resid,
             )
         for p in range(d - 1):
+            wp = w_rows[p]
             for q in range(p + 1, d):
-                apq = m[p, q]
+                apq = wp[q]
                 if apq == 0.0:
                     continue
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
+                wq = w_rows[q]
+                app = wp[p]
+                aqq = wq[q]
+                tau = (aqq - app) / (2.0 * apq)
                 # smaller-magnitude root of t^2 + 2 tau t - 1 = 0
                 t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(tau, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                # each right-hand side is evaluated in full before either
-                # column (row) is written back
-                m[:, p], m[:, q] = c * m[:, p] - s * m[:, q], s * m[:, p] + c * m[:, q]
-                m[p, :], m[q, :] = c * m[p, :] - s * m[q, :], s * m[p, :] + c * m[q, :]
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
+                # both right-hand sides are evaluated in full before either
+                # row is written back
+                wp[:], wq[:] = c * wp - s * wq, s * wp + c * wq
+                # rows p and q of m now hold the rotated columns; mirrored
+                # into columns p and q they complete J^T A J outside the
+                # 2x2 block, which is then set from its old entries
+                m_cols[p][:] = m_rows[p]
+                m_cols[q][:] = m_rows[q]
+                wp[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+                wq[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+                wp[q] = 0.0
+                wq[p] = 0.0
         sweeps += 1
     vals = np.diag(m).copy()
     order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(vals[order], apply_sign_convention(v[:, order]))
+    return EigenDecomposition(vals[order], apply_sign_convention(w[order, d:].T))
 
 
 def general_to_diagonal(

@@ -251,14 +251,20 @@ class TestNumericalFailure:
     @pytest.mark.parametrize(
         "args, text, message",
         [
-            (["verify", "--d", "3", "--m", "1", "--lambda1-list", "1e300", "--seeds", "1"],
-             None, "secular and Jacobi eigenvalues disagree at index 1: 1e+150 vs "),
+            (["verify", "--d", "3", "--m", "1", "--lambda1-list", "1e100", "--seeds", "1"],
+             None, "secular and Jacobi eigenvalues disagree at index 1: 1e+50 vs "),
             (["eig", "{f}", "--method", "secular"],
              "lambdas = [2.0, 1.0]\nvector = [0.7071067811865476, 1e-11]\n",
              "secular root nu=1.0 lies within 1e-14 relative of undeflated pole "
              "lambda[1]=1.0"),
+            (["verify", "--d", "3", "--m", "2", "--lambda1-list", "1e300", "--seeds", "1"],
+             None, "Jacobi cannot start: the Frobenius norm of the matrix overflows"),
+            (["eig", "{f}"],
+             "lambdas = [1e300, 1e150, 1.0]\nvector = [1.0, 1.0, 0.5]\n"
+             "vector = [0.5, -1.0, 0.1]\n",
+             "Jacobi cannot start: the Frobenius norm of the matrix overflows"),
         ],
-        ids=["oracle-mismatch", "deflation"],
+        ids=["oracle-mismatch", "deflation", "overflow-verify", "overflow-eig"],
     )
     def test_exit_3_with_one_error_line(self, capsys, tmp_path, args, text, message):
         f = tmp_path / "instance.txt"
@@ -271,6 +277,12 @@ class TestNumericalFailure:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
         assert "np.float64" not in lines[0]
+
+    def test_overflowing_diagonal_still_passes(self, capsys):
+        # with m = 0 the matrix is diagonal: nothing to rotate, nothing to refuse
+        argv = ["verify", "--d", "3", "--m", "0", "--lambda1-list", "1e300", "--seeds", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
 class TestCmdScan:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from eigenpert.harness import default_grid, gen_instance
 from eigenpert.symmat import (
+    JACOBI_REL_TOL,
+    SIGN_PIVOT_TOL,
     ConvergenceError,
     DimensionMismatchError,
     EigenDecomposition,
@@ -17,6 +20,53 @@ from eigenpert.symmat import (
     jacobi_eig,
 )
 from conftest import quadratic_eigenvalues
+
+
+def _sign_convention_loop(basis):
+    """The sign rule one column at a time: the reference for the vectorized
+    apply_sign_convention."""
+    out = np.array(basis, dtype=float)
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        idx = np.flatnonzero(np.abs(col) > SIGN_PIVOT_TOL)
+        if idx.size and col[idx[0]] < 0.0:
+            out[:, k] = -col
+    return out
+
+
+def _jacobi_reference(a, rel_tol=JACOBI_REL_TOL):
+    """The two-sided cyclic Jacobi loop that jacobi_eig must reproduce bit for
+    bit: each rotation updates the columns of A, then its rows, then the
+    columns of the basis, all as full-length array operations."""
+    m = np.array(a.entries, dtype=float)
+    d = a.dim
+    v = np.eye(d)
+    tol = rel_tol * float(np.linalg.norm(m))
+    while float(np.linalg.norm(m - np.diag(np.diag(m)))) > tol:
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = m[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(tau, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                m[:, p], m[:, q] = c * m[:, p] - s * m[:, q], s * m[:, p] + c * m[:, q]
+                m[p, :], m[q, :] = c * m[p, :] - s * m[q, :], s * m[p, :] + c * m[q, :]
+                m[p, q] = 0.0
+                m[q, p] = 0.0
+                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
+    vals = np.diag(m).copy()
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], _sign_convention_loop(v[:, order])
+
+
+def _assert_matches_reference(a):
+    values, basis = _jacobi_reference(a)
+    eig = jacobi_eig(a)
+    assert np.array_equal(eig.values, values)
+    assert np.array_equal(eig.basis, basis)
 
 
 class TestTypes:
@@ -68,6 +118,25 @@ class TestTypes:
         # a leading entry below the pivot tolerance is ignored
         col = np.array([[-1e-13], [-1.0]])
         assert apply_sign_convention(col)[1, 0] == 1.0
+        b = np.array(
+            [
+                [-1e-12, 1e-13, 0.0, -0.5],
+                [-5e-13, -1e-12, 0.0, 0.5],
+                [1e-13, -0.6, 0.0, 0.0],
+                [0.0, 0.8, 0.0, 1.0],
+            ]
+        )
+        fixed = apply_sign_convention(b)
+        assert np.array_equal(fixed, _sign_convention_loop(b))
+        # every entry of column 0 is within the tolerance: no flip
+        assert np.array_equal(fixed[:, 0], b[:, 0])
+        # column 1: tiny leading entries in front of the negative pivot -0.6
+        assert np.array_equal(fixed[:, 1], -b[:, 1])
+        assert np.array_equal(fixed[:, 3], -b[:, 3])
+        rng = np.random.default_rng(3)
+        for shape in [(1, 1), (3, 5), (8, 8)]:
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-16, 2, size=shape)
+            assert np.array_equal(apply_sign_convention(x), _sign_convention_loop(x))
 
 
 class TestBuildPerturbed:
@@ -104,6 +173,10 @@ class TestJacobi:
         eig = jacobi_eig(SymmetricMatrix(np.diag([3.0, 1.0])))
         assert np.array_equal(eig.values, [3.0, 1.0])
         assert np.array_equal(eig.basis, np.eye(2))
+        # a Frobenius norm that overflows is no reason to refuse a diagonal
+        eig = jacobi_eig(SymmetricMatrix(np.diag([1e300, 1e300, 1.0])))
+        assert np.array_equal(eig.values, [1e300, 1e300, 1.0])
+        assert np.array_equal(eig.basis, np.eye(3))
 
     def test_classic_2x2(self):
         eig = jacobi_eig(SymmetricMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
@@ -150,6 +223,31 @@ class TestJacobi:
             assert eig.values[-1] - 1e-9 * eig.values[0] <= q
             assert q <= eig.values[0] * (1.0 + 1e-9)
 
+    def test_overflowing_norm_is_refused(self):
+        a = build_perturbed(
+            Spectrum([1e300, 1e150, 1.0]),
+            PerturbationSet([[1.0, 1.0, 0.5], [0.5, -1.0, 0.1]]),
+        )
+        with pytest.raises(ConvergenceError, match="overflows") as err:
+            jacobi_eig(a)
+        assert err.value.residual == math.inf
+
+    @pytest.mark.parametrize("d", [5, 10])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("lambda1", [1e4, 1e8, 1e12])
+    def test_accuracy_against_mpmath(self, d, m, lambda1):
+        mp = pytest.importorskip("mpmath")
+        inst = gen_instance(d, m, lambda1, 0)
+        a = build_perturbed(inst.spectrum, inst.perts)
+        eig = jacobi_eig(a)
+        with mp.workdps(60):
+            ev, q = mp.eigsy(mp.matrix(a.entries.tolist()))
+            order = sorted(range(d), key=lambda k: ev[k], reverse=True)
+            ref_values = np.array([float(ev[k]) for k in order])
+            ref_e1 = np.array([float(abs(q[i, order[0]])) for i in range(d)])
+        assert np.all(np.abs(eig.values - ref_values) <= 1e-14 * ref_values)
+        assert np.all(np.abs(np.abs(eig.basis[:, 0]) - ref_e1) <= 1e-12 * ref_e1)
+
     def test_monotonicity_in_m(self):
         # adding rank-one terms can only push every eigenvalue up
         rng = np.random.default_rng(23)
@@ -160,6 +258,45 @@ class TestJacobi:
             cur = jacobi_eig(build_perturbed(spec, PerturbationSet(vecs[:m]))).values
             assert np.all(cur >= prev - 1e-9 * spec.lambdas[0])
             prev = cur
+
+
+class TestJacobiMatchesReference:
+    def test_default_grid_up_to_d10(self):
+        for p in default_grid(dims=(2, 3, 5, 10)):
+            inst = gen_instance(p.d, p.m, p.lambda1, p.seed)
+            _assert_matches_reference(build_perturbed(inst.spectrum, inst.perts))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("lambda1", [1e4, 1e8, 1e12])
+    def test_graded_d30(self, m, lambda1):
+        inst = gen_instance(30, m, lambda1, 0)
+        _assert_matches_reference(build_perturbed(inst.spectrum, inst.perts))
+
+    def test_exact_zero_off_diagonal(self):
+        # (0, 2) starts at zero and is skipped in the first sweep, then
+        # filled by the (0, 1) and (1, 2) rotations; the 2x2 blocks of the
+        # second matrix never couple
+        _assert_matches_reference(
+            SymmetricMatrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 5.0]]))
+        )
+        _assert_matches_reference(
+            SymmetricMatrix(
+                np.array(
+                    [
+                        [4.0, 1.0, 0.0, 0.0],
+                        [1.0, 3.0, 0.0, 0.0],
+                        [0.0, 0.0, 2.0, 0.5],
+                        [0.0, 0.0, 0.5, 1.0],
+                    ]
+                )
+            )
+        )
+
+    def test_tied_diagonal(self):
+        # equal diagonal entries give tau = 0, a rotation by 45 degrees
+        _assert_matches_reference(
+            SymmetricMatrix(np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 2.0]]))
+        )
 
 
 class TestGeneralToDiagonal:
