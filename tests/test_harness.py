@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eigenpert import bounds as bnd
-from eigenpert import harness
+from eigenpert import harness, symmat
 from eigenpert.bounds import PASS_RTOL
 from eigenpert.symmat import ConvergenceError, build_perturbed, jacobi_eig
 from conftest import s_formula
@@ -143,14 +143,12 @@ class TestCertify:
             assert e.bound == (lo if e.side == "lower" else hi)
 
     def test_oracle_failure_names_instance(self, monkeypatch):
-        def diverge(a):
-            raise ConvergenceError("sweep limit", residual=1.0)
-
-        monkeypatch.setattr(harness, "jacobi_eig", diverge)
+        # dgejsv reports failure through info != 0
+        monkeypatch.setattr(symmat, "_dgejsv", lambda *args: 5)
         inst = harness.gen_instance(3, 1, 1e2, seed=4)
-        with pytest.raises(ConvergenceError, match="seed=4 meta=grid") as err:
+        with pytest.raises(ConvergenceError, match="seed=4 meta=grid.*info = 5") as err:
             harness.certify(inst)
-        assert err.value.residual == 1.0
+        assert err.value.residual == math.inf
         with pytest.raises(ConvergenceError, match="seed=4 meta=grid"):
             harness.scan(3, 1, 2, [1e2], seed=4)
 
