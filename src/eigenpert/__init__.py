@@ -40,7 +40,6 @@ from .symmat import (
     PerturbationSet,
     Spectrum,
     SymmetricMatrix,
-    build_perturbed,
     general_to_diagonal,
     jacobi_eig,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "BoundEntry",
     "BoundParams",
     "BoundReport",
-    "build_perturbed",
     "certify",
     "certify_grid",
     "cm_constant",

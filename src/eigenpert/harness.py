@@ -168,8 +168,7 @@ def _oracle(instance: Instance) -> EigenDecomposition:
     factor F = sqrt(D) [I | v_1 ... v_m], without forming the matrix; a
     numerical failure names the instance that caused it."""
     spec = instance.spectrum
-    i_v = np.column_stack([np.eye(spec.d), *instance.perts.vectors])
-    f = np.sqrt(spec.lambdas)[:, None] * i_v
+    f = np.sqrt(spec.lambdas)[:, None] * np.column_stack([np.eye(spec.d), *instance.perts.vectors])
     try:
         return factor_eig(f)
     except ConvergenceError as exc:

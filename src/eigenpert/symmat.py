@@ -1,15 +1,12 @@
 """Dense symmetric matrices of the form D + sqrt(D) (sum_k v_k v_k^T) sqrt(D),
 and the eigensolver oracle that every bound check is judged against.
 
-The oracle never forms that matrix.  It factors it as A = F F^T with
-F = sqrt(D) [I | v_1 ... v_m] and takes the eigenpairs from LAPACK's
-one-sided Jacobi SVD of F (dgejsv, Drmac & Veselic 2008), bound through
-ctypes from the OpenBLAS that numpy ships.  Jacobi on a factor keeps high
-*relative* accuracy in the small eigenvalues and in the tiny eigenvector
-coordinates of strongly graded matrices (Demmel & Veselic 1992): the error
-depends on the condition of [I | V], not on lambda_1/lambda_d.  The tests
-hold it to 1e-14 relative on eigenvalues and 1e-13 on |[e_1]_j| against a
-high-precision mpmath eigensolve, for lambda_1 up to 1e60.
+The oracle never forms that matrix: it takes A = F F^T, F = sqrt(D) [I | V],
+to LAPACK's one-sided Jacobi SVD (dgejsv, Drmac & Veselic 2008) through
+ctypes.  Jacobi on a factor keeps the small eigenvalues and the tiny
+eigenvector coordinates of graded matrices relatively accurate (Demmel &
+Veselic 1992), whatever lambda_1/lambda_d: the tests hold it to 1e-14 on
+eigenvalues and 1e-13 on |[e_1]_j| against mpmath up to lambda_1 = 1e60.
 """
 
 from __future__ import annotations
@@ -243,22 +240,15 @@ def build_perturbed(spec: Spectrum, perts: PerturbationSet) -> SymmetricMatrix:
 
 
 def _bind_dgejsv():
-    """LAPACKE's dgejsv from numpy's bundled OpenBLAS (64-bit integers),
-    bound on the first call."""
+    """LAPACKE's dgejsv from numpy's bundled OpenBLAS, bound on first use."""
     global _dgejsv
     if _dgejsv is None:
         libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-        paths = sorted(libdir.glob(OPENBLAS_GLOB))
-        if not paths:
-            raise LapackBindingError(
-                f"no library {libdir / OPENBLAS_GLOB} to take {DGEJSV_SYMBOL} from"
-            )
+        paths = sorted(libdir.glob(OPENBLAS_GLOB)) or [libdir / OPENBLAS_GLOB]
         try:
             fn = getattr(ctypes.CDLL(str(paths[0])), DGEJSV_SYMBOL)
         except (OSError, AttributeError) as exc:
-            raise LapackBindingError(
-                f"cannot bind {DGEJSV_SYMBOL} from {paths[0]}: {exc}"
-            ) from exc
+            raise LapackBindingError(f"cannot bind {DGEJSV_SYMBOL} from {paths[0]}: {exc}") from exc
         i64, ch, ptr = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p
         # layout, joba, jobu, jobv, jobr, jobt, jobp, m, n, a, lda, sva,
         # u, ldu, v, ldv, stat, istat
@@ -269,55 +259,39 @@ def _bind_dgejsv():
     return _dgejsv
 
 
-def _jacobi_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors (columns) of the n x d
-    column-major array `g`, n >= d, which dgejsv overwrites."""
-    if g.ndim != 2 or g.dtype != np.float64 or not g.flags.f_contiguous:
-        raise ValueError("dgejsv needs a 2-D float64 array in column-major order")
-    n, d = g.shape
-    if not 1 <= d <= n:
-        raise ValueError(f"dgejsv needs rows >= columns >= 1, got shape {g.shape}")
-    sva = np.empty(d)
+def factor_eig(f: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of A = F F^T from its d x n factor F (n >= d),
+    without forming A: the squared singular values and the left singular
+    vectors of F, by dgejsv on G = F^T with column-scaled relative accuracy.
+
+    A non-finite entry of F, or an eigenvalue that overflows, raises
+    ConvergenceError with residual inf.
+    """
+    # a C-ordered float64 copy, which dgejsv may overwrite, is G = F^T in
+    # the column-major layout it reads
+    work = np.array(f, dtype=np.float64, order="C")
+    if work.ndim != 2 or not 1 <= work.shape[0] <= work.shape[1]:
+        raise ValueError(f"the factor must be d x n with n >= d >= 1, got shape {work.shape}")
+    if not np.all(np.isfinite(work)):
+        raise ConvergenceError("the factor has a non-finite entry", residual=math.inf)
+    d, n = work.shape
+    sva, stat, istat = np.empty(d), np.empty(7), np.empty(3, dtype=np.int64)
     vt = np.empty((d, d))  # row k is column k of V in LAPACK's column-major view
-    stat = np.empty(7)
-    istat = np.empty(3, dtype=np.int64)
-    unused_u = np.empty(1)
+    # JOBU = 'N': no left singular vectors of G, so U is never touched
     info = _bind_dgejsv()(
-        _LAPACK_COL_MAJOR, b"C", b"N", b"V", b"N", b"N", b"N", n, d,
-        g.ctypes.data, n, sva.ctypes.data, unused_u.ctypes.data, 1,
-        vt.ctypes.data, d, stat.ctypes.data, istat.ctypes.data,
+        _LAPACK_COL_MAJOR, b"C", b"N", b"V", b"N", b"N", b"N", n, d, work.ctypes.data, n,
+        sva.ctypes.data, None, 1, vt.ctypes.data, d, stat.ctypes.data, istat.ctypes.data,
     )
     if info != 0:
         raise ConvergenceError(f"LAPACK dgejsv failed with info = {info}", residual=math.inf)
-    # the singular values come in the factored form (stat[0] / stat[1]) * sva
-    return stat[0] / stat[1] * sva, vt.T
-
-
-def factor_eig(f: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of A = F F^T from its d x n factor F (n >= d),
-    without forming A.
-
-    The eigenvalues are the squared singular values of F and the
-    eigenvectors its left singular vectors, from LAPACK's one-sided Jacobi
-    SVD (dgejsv with column-scaled relative accuracy) applied to G = F^T.
-    Their relative accuracy is governed by the condition of F with its rows
-    scaled to unit norm, not by the spread of the eigenvalues.  A factor
-    with a non-finite entry, or an eigenvalue that overflows, raises
-    ConvergenceError with residual inf.
-    """
-    work = np.array(f, dtype=float, order="C")
-    if not np.all(np.isfinite(work)):
-        raise ConvergenceError("the factor has a non-finite entry", residual=math.inf)
-    sigma, right = _jacobi_svd(work.T)
     with np.errstate(over="ignore"):
+        sigma = stat[0] / stat[1] * sva  # dgejsv's factored form of the singular values
         vals = sigma * sigma
     if not np.all(np.isfinite(vals)):
-        raise ConvergenceError(
-            f"an eigenvalue overflows: singular value {float(sigma[0])!r} squared",
-            residual=math.inf,
-        )
+        message = f"an eigenvalue overflows: singular value {float(sigma[0])!r} squared"
+        raise ConvergenceError(message, residual=math.inf)
     order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(vals[order], apply_sign_convention(right[:, order]))
+    return EigenDecomposition(vals[order], apply_sign_convention(vt[order].T))
 
 
 def jacobi_eig(a: SymmetricMatrix) -> EigenDecomposition:
@@ -334,10 +308,8 @@ def jacobi_eig(a: SymmetricMatrix) -> EigenDecomposition:
         low = np.linalg.cholesky(a.entries)
     except np.linalg.LinAlgError as exc:
         smallest = float(np.linalg.eigvalsh(a.entries)[0])
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {smallest:.6e}",
-            eigenvalue=smallest,
-        ) from exc
+        message = f"matrix is not positive definite: smallest eigenvalue {smallest:.6e}"
+        raise NotPositiveDefiniteError(message, eigenvalue=smallest) from exc
     return factor_eig(low)
 
 
@@ -357,13 +329,7 @@ def general_to_diagonal(
                 f"vector {k} has length {v.size}, expected matrix dimension {d}",
                 vector_index=k,
             )
-    eig = jacobi_eig(b)
-    smallest = float(eig.values[-1])
-    if smallest <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {smallest:.6e}",
-            eigenvalue=smallest,
-        )
+    eig = jacobi_eig(b)  # refuses a b that is not positive definite
     spec = Spectrum(eig.values)
     rotated = PerturbationSet(tuple(eig.basis.T @ v for v in perts.vectors), dim=d)
     return spec, rotated, eig

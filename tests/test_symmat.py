@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -261,14 +262,24 @@ class TestJacobi:
         assert eig.values[2] == pytest.approx(1.0988461538461538, rel=1e-15)
         assert eig.values[0] == pytest.approx(2.25e300, rel=1e-15)
 
-    def test_non_finite_entry_is_refused(self):
+    @pytest.mark.parametrize("solve", [lambda x: jacobi_eig(SymmetricMatrix(x)), factor_eig])
+    def test_non_finite_entry_is_refused(self, solve):
         with pytest.raises(ConvergenceError, match="non-finite") as err:
-            jacobi_eig(SymmetricMatrix(np.array([[np.inf, 1.0], [1.0, 2.0]])))
+            solve(np.array([[np.inf, 1.0], [1.0, 2.0]]))
         assert err.value.residual == math.inf
 
-    def test_overflowing_eigenvalue_is_refused(self):
-        # the true top eigenvalue, 5e308, is not representable
-        f = np.sqrt([1e308, 1.0])[:, None] * np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # the true top eigenvalue, 5e308, is not representable
+            np.sqrt([1e308, 1.0])[:, None] * np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]),
+            # a row norm of F overflows too: dgejsv returns its singular
+            # values in a scaled form, whose top one is inf once unscaled
+            np.array([[1.5e308, 1.5e308, 1.5e308], [0.0, 1.0, 0.0]]),
+        ],
+    )
+    def test_overflowing_eigenvalue_is_refused(self, f):
         with pytest.raises(ConvergenceError, match="overflows") as err:
             factor_eig(f)
         assert err.value.residual == math.inf
@@ -323,22 +334,27 @@ class TestLapackBinding:
         assert np.all(np.abs(direct.values - formed.values) <= 1e-14 * formed.values)
         assert np.all(np.abs(direct.basis - formed.basis) <= 1e-12)
 
-    @pytest.mark.parametrize(
-        "g, message",
-        [
-            (np.zeros((3, 2)), "column-major"),
-            (np.asfortranarray(np.zeros((3, 2), dtype=np.float32)), "float64"),
-            (np.asfortranarray(np.zeros((2, 3))), "rows >= columns"),
-            (np.zeros((3, 0), order="F"), "rows >= columns"),
-        ],
-    )
-    def test_arguments_checked_before_the_call(self, monkeypatch, g, message):
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (3, 2), (0, 2), (0, 0)])
+    def test_shape_checked_before_the_call(self, monkeypatch, shape):
         def unreachable(*args):
             raise AssertionError("dgejsv called")
 
         monkeypatch.setattr(symmat, "_dgejsv", unreachable)
-        with pytest.raises(ValueError, match=message):
-            symmat._jacobi_svd(g)
+        with pytest.raises(ValueError, match="d x n with n >= d >= 1"):
+            factor_eig(np.ones(shape))
+
+    def test_any_layout_and_dtype_is_copied_to_what_dgejsv_reads(self):
+        rng = np.random.default_rng(8)
+        f = rng.standard_normal((4, 6))
+        ref = factor_eig(f)
+        wide = np.zeros((4, 12))
+        wide[:, ::2] = f
+        for same in (np.asfortranarray(f), wide[:, ::2], f.tolist()):
+            eig = factor_eig(same)
+            assert np.array_equal(eig.values, ref.values)
+            assert np.array_equal(eig.basis, ref.basis)
+        single = factor_eig(f.astype(np.float32))
+        assert np.allclose(single.values, ref.values, rtol=1e-6)
 
     @pytest.mark.parametrize("attr, value", [
         ("DGEJSV_SYMBOL", "scipy_LAPACKE_no_such_routine64_"),
@@ -360,7 +376,51 @@ class TestLapackBinding:
             "s.jacobi_eig(s.SymmetricMatrix([[2.0, 1.0], [1.0, 2.0]])); "
             "assert s._dgejsv is not None"
         )
-        subprocess.run([sys.executable, "-c", code], check=True)
+        src = os.path.dirname(os.path.dirname(symmat.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+class TestJacobiMatchesReference:
+    def test_default_grid_up_to_d10(self):
+        # lambda_1 = 1 makes D = I: a repeated eigenvalue whose eigenbasis
+        # is not unique
+        for p in default_grid(dims=(2, 3, 5, 10), lambda1s=(1e2, 1e4, 1e6, 1e8)):
+            inst = gen_instance(p.d, p.m, p.lambda1, p.seed)
+            _assert_matches_reference(build_perturbed(inst.spectrum, inst.perts))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("lambda1", [1e4, 1e8, 1e12])
+    def test_graded_d30(self, m, lambda1):
+        inst = gen_instance(30, m, lambda1, 0)
+        _assert_matches_reference(build_perturbed(inst.spectrum, inst.perts))
+
+    def test_exact_zero_off_diagonal(self):
+        # (0, 2) starts at zero and is filled by the (0, 1) and (1, 2)
+        # rotations; the 2x2 blocks of the second matrix never couple, and
+        # their eigenvectors keep exact zeros outside their block
+        _assert_matches_reference(
+            SymmetricMatrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 5.0]]))
+        )
+        eig = _assert_matches_reference(
+            SymmetricMatrix(
+                np.array(
+                    [
+                        [4.0, 1.0, 0.0, 0.0],
+                        [1.0, 3.0, 0.0, 0.0],
+                        [0.0, 0.0, 2.0, 0.5],
+                        [0.0, 0.0, 0.5, 1.0],
+                    ]
+                )
+            )
+        )
+        assert not np.any(eig.basis[2:, :2]) and not np.any(eig.basis[:2, 2:])
+
+    def test_tied_diagonal(self):
+        # equal diagonal entries give tau = 0, a rotation by 45 degrees
+        _assert_matches_reference(
+            SymmetricMatrix(np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 2.0]]))
+        )
 
 
 class TestGeneralToDiagonal:
