@@ -97,11 +97,19 @@ def j_index(spec: Spectrum, v, i: int) -> int:
     (0-based i, so d-i counts the trailing coordinates including i).
     The feasible set always contains j = i.
     """
+    return int(_j_indices(spec, np.asarray(v, dtype=float), i))
+
+
+def _j_indices(spec: Spectrum, v: np.ndarray, i) -> np.ndarray:
+    """`j_index` for every index in the array i: one feasibility mask over
+    the rows i and the columns j >= i, then a masked argmax whose first
+    maximum is the smallest j."""
     lam = spec.lambdas
     d = spec.d
-    v = np.asarray(v, dtype=float)
-    if not 0 <= i < d:
-        raise IndexError(f"index {i} out of range for d={d}")
+    i = np.asarray(i)
+    out_of_range = (i < 0) | (i >= d)
+    if np.any(out_of_range):
+        raise IndexError(f"index {i[out_of_range].flat[0]} out of range for d={d}")
     if not spec.is_strict:
         raise JIndexError(
             "spectrum has repeated eigenvalues; use the rank-m eigenvalue bound"
@@ -110,31 +118,26 @@ def j_index(spec: Spectrum, v, i: int) -> int:
         raise JIndexError(
             "perturbation vector has zero entries; use the rank-m eigenvalue bound"
         )
-    vinf = float(np.max(np.abs(v)))
-    tail = d - i
-    best = -1
-    best_mag = -1.0
-    for j in range(i, d):
-        mag = abs(float(v[j]))
-        threshold = lam[i] * (1.0 - math.sqrt(lam[j] / lam[i]) * tail * vinf * mag)
-        if lam[j] >= threshold and mag > best_mag:
-            best, best_mag = j, mag
-    if best < 0:  # cannot happen: j = i is always feasible
-        raise JIndexError(f"empty feasible set at i={i}")
-    return best
+    mag = np.abs(v)
+    vinf = float(np.max(mag))
+    lam_i = lam[i][..., None]
+    tail = (d - i)[..., None]
+    threshold = lam_i * (1.0 - np.sqrt(lam / lam_i) * tail * vinf * mag)
+    feasible = (np.arange(d) >= i[..., None]) & (lam >= threshold)
+    return np.argmax(np.where(feasible, mag, -1.0), axis=-1)
 
 
-def eigenvalue_bound_rank1(spec: Spectrum, v, i: int) -> float:
+def eigenvalue_bound_rank1(spec: Spectrum, v, i):
     """lambda_i (1 + (d-i) vinf |v_{j_i}|): the refined upper bound for m = 1.
 
     Never looser than the rank-m interval at m = 1; strictly tighter whenever
     |v_{j_i}| < d vinf / (d - i).
     """
     v = np.asarray(v, dtype=float)
-    ji = j_index(spec, v, i)
+    i = np.asarray(i)
+    ji = _j_indices(spec, v, i)
     vinf = float(np.max(np.abs(v)))
-    tail = spec.d - i
-    return float(spec.lambdas[i]) * (1.0 + tail * vinf * abs(float(v[ji])))
+    return _value(spec.lambdas[i] * (1.0 + (spec.d - i) * vinf * np.abs(v[ji])))
 
 
 def psi(rho: float, w: float) -> float:

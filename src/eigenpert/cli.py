@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from . import harness
 from .rankone import DeflationError, SecularBracketError, rankone_full
-from .symmat import ConvergenceError, PerturbationSet, Spectrum
+from .symmat import ConvergenceError, LapackBindingError, PerturbationSet, Spectrum
 
 CSV_HEADER = "d,m,j,lambda1,ratio,observed,bound_rankm,bound_rank1,seed"
 
@@ -471,6 +471,9 @@ def main(argv=None) -> int:
         SecularBracketError,
     ) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except LapackBindingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

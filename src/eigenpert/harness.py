@@ -185,8 +185,12 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
     against the secular route when m = 1) and returns one BoundReport per
     applicable inequality.  Each bound kind is evaluated once over the whole
     index grid.  `bound_scale` multiplies every bound before comparison;
-    values below 1 are used by the falsification self-test.
+    values below 1 are used by the falsification self-test.  A non-finite
+    `bound_scale` raises ValueError: it would make the pass tolerance
+    infinite or every slack nan.
     """
+    if not math.isfinite(bound_scale):
+        raise ValueError(f"bound scale must be finite, got {bound_scale!r}")
     spec = instance.spectrum
     perts = instance.perts
     d = spec.d
@@ -213,7 +217,7 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
 
     if m == 1 and spec.is_strict and not np.any(perts.vectors[0] == 0.0):
         v = perts.vectors[0]
-        b6 = np.array([bnd.eigenvalue_bound_rank1(spec, v, i) for i in range(d)])
+        b6 = bnd.eigenvalue_bound_rank1(spec, v, idx)
         notes = [
             f"refinement wins at i={i}: {b6[i]:.6g} < {hi[i]:.6g}"
             for i in np.flatnonzero(b6 < hi).tolist()

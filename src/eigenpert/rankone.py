@@ -2,9 +2,12 @@
 
 Eigenvalues are the roots of the secular function
     f(nu) = 1 + sum_j z_j^2 / (lambda_j - nu)
-bracketed by interlacing; eigenvectors follow the Bunch-Nielsen-Sorensen
-formula  [e_i]_j = C_i * z_j / (lambda_j - nu_i)  with C_i the reciprocal
-Euclidean norm.
+bracketed by interlacing, all solved at once: one array pass picks every
+root's bracket, and bisection then Newton run over all brackets in
+lockstep, each root taking the same steps it would take alone.
+Eigenvectors follow the Bunch-Nielsen-Sorensen formula
+[e_i]_j = C_i * z_j / (lambda_j - nu_i)  with C_i the reciprocal Euclidean
+norm.
 
 Degenerate inputs (zero z entries, repeated lambdas) are handled
 constructively by deflation: zero-weight coordinates keep their eigenpair,
@@ -102,47 +105,89 @@ class SecularSolution:
         return int(self.values.size)
 
 
-def _secular_root(delta: np.ndarray, w: np.ndarray, lo: float, hi: float) -> float:
-    """Solve 1 + sum w_j/(delta_j - mu) = 0 for mu in the open bracket (lo, hi).
+def _secular_roots(delta: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Solve 1 + sum_j w_j/(delta[r, j] - mu_r) = 0 for every row r at once,
+    mu_r in the open bracket (lo[r], hi[r]).
 
-    g is strictly increasing; g -> -inf at the low end and g >= 0 at (or
-    towards) the high end.  Bisection narrows the bracket, then Newton
-    finishes, rejecting any step that leaves the bracket.
+    Each row's g is strictly increasing; g -> -inf at the low end and g >= 0
+    at (or towards) the high end.  Bisection narrows every bracket to
+    NEWTON_SWITCH of its width, then Newton finishes, rejecting any step
+    that leaves the bracket.  The rows iterate in lockstep and a finished row
+    is frozen by a mask, so each row takes exactly the steps it would take
+    alone and its root comes out bit for bit the same.
     """
-
-    def g(mu: float) -> tuple[float, float]:
-        den = delta - mu
-        terms = w / den
-        return 1.0 + float(terms.sum()), float(np.sum(terms / den))
-
+    a = lo.copy()
+    b = hi.copy()
     width0 = hi - lo
-    a, b = lo, hi
-    while (b - a) > NEWTON_SWITCH * width0:
-        mid = 0.5 * (a + b)
-        gv, _ = g(mid)
-        if gv < 0.0:
-            a = mid
-        else:
-            b = mid
-    mu = 0.5 * (a + b)
-    for _ in range(ROOT_MAX_ITER):
-        gv, gp = g(mu)
-        if gv == 0.0:
-            return mu
-        if gv < 0.0:
-            a = mu
-        else:
-            b = mu
-        if gp <= 0.0:  # cannot happen analytically; fall back to bisection
-            nxt = 0.5 * (a + b)
-        else:
+    den = np.empty_like(delta)
+    terms = np.empty_like(delta)
+
+    def g(mu: np.ndarray, slope: bool):
+        np.subtract(delta, mu[:, None], out=den)
+        np.divide(w, den, out=terms)
+        gv = 1.0 + terms.sum(axis=1)
+        if not slope:
+            return gv, None
+        np.divide(terms, den, out=terms)
+        return gv, terms.sum(axis=1)
+
+    # a row next to a pole divides by zero or overflows; frozen rows' values
+    # are masked and a live row's inf or nan step falls back to bisection
+    with np.errstate(all="ignore"):
+        # a bracket only a few subnormals wide may never shrink below
+        # NEWTON_SWITCH of its width: the bisection count is capped too
+        live = (b - a) > NEWTON_SWITCH * width0
+        for _ in range(ROOT_MAX_ITER):
+            if not live.any():
+                break
+            mid = 0.5 * (a + b)
+            gv, _ = g(mid, False)
+            neg = gv < 0.0
+            np.copyto(a, mid, where=live & neg)
+            np.copyto(b, mid, where=live & ~neg)
+            live = (b - a) > NEWTON_SWITCH * width0
+
+        mu = 0.5 * (a + b)
+        live = np.ones(mu.shape, dtype=bool)
+        for _ in range(ROOT_MAX_ITER):
+            if not live.any():
+                break
+            gv, gp = g(mu, True)
+            live &= gv != 0.0
+            neg = gv < 0.0
+            np.copyto(a, mu, where=live & neg)
+            np.copyto(b, mu, where=live & ~neg)
+            # a step that leaves the bracket falls back to bisection; so does
+            # gp = 0 or nan (gp < 0 cannot happen), whose step is inf or nan
             nxt = mu - gv / gp
-            if not (a < nxt < b):
-                nxt = 0.5 * (a + b)
-        if abs(nxt - mu) <= 32.0 * _EPS * abs(nxt):
-            return nxt
-        mu = nxt
+            np.copyto(nxt, 0.5 * (a + b), where=~((a < nxt) & (nxt < b)))
+            done = np.abs(nxt - mu) <= 32.0 * _EPS * np.abs(nxt)
+            np.copyto(mu, nxt, where=live)
+            live &= ~done
     return mu
+
+
+def _top_bracket(la: np.ndarray, w: np.ndarray, total: float) -> float:
+    """Upper end hi of the top root's bracket (0, hi] on mu = nu - la[0].
+
+    hi is the trace bound ||z||^2, widened on the fp edge where the root sits
+    at that bound and rounding leaves g(hi) below zero.
+    """
+    delta = la - la[0]
+    hi = total if total > 0.0 else 1.0
+    gv = 1.0 + float(np.sum(w / (delta - hi)))
+    attempts = 0
+    while gv < 0.0:
+        hi *= 1.0 + 2.0**-30
+        gv = 1.0 + float(np.sum(w / (delta - hi)))
+        attempts += 1
+        if attempts > 64:
+            raise SecularBracketError(
+                "top secular root escaped its trace bracket",
+                bracket=(float(la[0]), float(la[0] + hi)),
+                residuals=(float("-inf"), gv),
+            )
+    return hi
 
 
 def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
@@ -185,46 +230,31 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
     w = z_rot[act] ** 2
     total = znorm * znorm
 
-    anchors = np.zeros(n, dtype=int)
-    mus = np.zeros(n)
-    for i in range(n):
-        if i == 0:
-            # top root: anchor lambda_1(active), mu in (0, ||z||^2]
-            delta = la - la[0]
-            hi = total if total > 0.0 else 1.0
-            gv = 1.0 + float(np.sum(w / (delta - hi)))
-            attempts = 0
-            while gv < 0.0:  # guard the fp edge where the root sits at the trace bound
-                hi *= 1.0 + 2.0**-30
-                gv = 1.0 + float(np.sum(w / (delta - hi)))
-                attempts += 1
-                if attempts > 64:
-                    raise SecularBracketError(
-                        "top secular root escaped its trace bracket",
-                        bracket=(float(la[0]), float(la[0] + hi)),
-                        residuals=(float("-inf"), gv),
-                    )
-            anchors[i] = 0
-            mus[i] = _secular_root(delta, w, 0.0, hi)
-        else:
-            gap = float(la[i - 1] - la[i])
-            if gap <= 0.0:
-                raise SecularBracketError(
-                    f"active eigenvalues {i - 1} and {i} are not separated",
-                    bracket=(float(la[i]), float(la[i - 1])),
-                    residuals=(float("nan"), float("nan")),
-                )
-            delta_lo = la - la[i]
-            g_mid = 1.0 + float(np.sum(w / (delta_lo - 0.5 * gap)))
-            if g_mid >= 0.0:
-                # root in the lower half: anchor lambda_i
-                anchors[i] = i
-                mus[i] = _secular_root(delta_lo, w, 0.0, 0.5 * gap)
-            else:
-                # root in the upper half: anchor lambda_{i-1}, mu negative
-                anchors[i] = i - 1
-                delta_hi = la - la[i - 1]
-                mus[i] = _secular_root(delta_hi, w, -0.5 * gap, 0.0)
+    # Top root: anchor lambda_1(active), mu in (0, ||z||^2].  Root i >= 1
+    # lies in (lambda_i, lambda_{i-1}); the sign of g at the gap midpoint
+    # picks its anchor and the half gap that brackets it.
+    anchors = np.arange(n)
+    lo = np.zeros(n)
+    hi = np.zeros(n)
+    if n:
+        hi[0] = _top_bracket(la, w, total)
+    gaps = la[:-1] - la[1:]
+    if np.any(gaps <= 0.0):
+        i = int(np.argmax(gaps <= 0.0)) + 1
+        raise SecularBracketError(
+            f"active eigenvalues {i - 1} and {i} are not separated",
+            bracket=(float(la[i]), float(la[i - 1])),
+            residuals=(float("nan"), float("nan")),
+        )
+    half = 0.5 * gaps
+    g_mid = 1.0 + (w / ((la - la[1:, None]) - half[:, None])).sum(axis=1)
+    # g < 0 at the midpoint: the root is in the upper half, anchored at
+    # lambda_{i-1} with mu negative; otherwise anchored at lambda_i
+    upper = g_mid < 0.0
+    anchors[1:] -= upper
+    lo[1:] = np.where(upper, -half, 0.0)
+    hi[1:] = np.where(upper, 0.0, half)
+    mus = _secular_roots(la - la[anchors][:, None], w, lo, hi)
 
     roots = la[anchors] + mus
 

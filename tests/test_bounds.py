@@ -140,7 +140,45 @@ class TestEigenvalueBounds:
                 assert nus[i] <= b + 1e-9 * inst.spectrum.lambdas[i]
 
 
+def _j_index_reference(lam, v, i):
+    """The loop form of j_index: the first j >= i of largest |v_j| among the
+    feasible ones."""
+    d = lam.size
+    vinf = float(np.max(np.abs(v)))
+    best, best_mag = -1, -1.0
+    for j in range(i, d):
+        mag = abs(float(v[j]))
+        threshold = lam[i] * (1.0 - math.sqrt(lam[j] / lam[i]) * (d - i) * vinf * mag)
+        if lam[j] >= threshold and mag > best_mag:
+            best, best_mag = j, mag
+    return best
+
+
 class TestJIndex:
+    def test_array_form_matches_loop_reference(self):
+        from eigenpert.harness import gen_rankone_instance
+
+        insts = [gen_rankone_instance(seed) for seed in range(200)]
+        cases = [(inst.spectrum, inst.perts.vectors[0]) for inst in insts]
+        # near-flat spectra with repeated |v_j|: the smallest maximizing j wins
+        eps = 1e-7
+        cases += [(Spectrum(1.0 - eps * np.arange(6)), np.array([0.2, -0.5, 0.5, 0.1, -0.5, 0.3])),
+                  (Spectrum([4.0, 3.0, 2.0, 1.0]), np.array([0.3, 0.3, -0.3, 0.3]))]
+        for spec, v in cases:
+            idx = np.arange(spec.d)
+            ref = [_j_index_reference(spec.lambdas, v, i) for i in idx]
+            assert [bnd.j_index(spec, v, i) for i in idx] == ref
+            vinf = float(np.max(np.abs(v)))
+            expected = np.array([
+                float(spec.lambdas[i]) * (1.0 + (spec.d - i) * vinf * abs(float(v[j])))
+                for i, j in zip(idx, ref)
+            ])
+            assert bnd.eigenvalue_bound_rank1(spec, v, idx).tobytes() == expected.tobytes()
+
+    def test_rejects_out_of_range_index_in_array(self):
+        with pytest.raises(IndexError, match="index 3 out of range"):
+            bnd.eigenvalue_bound_rank1(Spectrum([3.0, 2.0, 1.0]), [0.1, 0.2, 0.3], np.arange(4))
+
     def test_hand_evaluated_2d(self):
         # j=2 infeasible: 1 < 100 (1 - 0.1 * 2 * 1 * 1) = 80
         assert bnd.j_index(Spectrum([100.0, 1.0]), [1.0, 1.0], 0) == 0

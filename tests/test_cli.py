@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenpert import cli, harness
+from eigenpert import cli, harness, symmat
 from eigenpert.symmat import EigenDecomposition
 from conftest import mp_eigensolve
 
@@ -249,6 +249,14 @@ class TestCmdVerify:
         assert captured.err.startswith("error: ") and message in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_non_finite_perturb_bound_exit_2(self, capsys, scale):
+        rc = cli.main(["verify", "--d", "2", "--m", "1", "--seeds", "1", "--perturb-bound", scale])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bound scale must be finite, got {scale}\n"
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize(
@@ -280,6 +288,16 @@ class TestNumericalFailure:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
         assert "np.float64" not in lines[0]
+
+    def test_missing_lapack_symbol_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(symmat, "DGEJSV_SYMBOL", "nope")
+        monkeypatch.setattr(symmat, "_dgejsv", None)
+        assert cli.main(["verify", "--d", "2", "--m", "1", "--seeds", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot bind nope from ")
+        assert symmat.OPENBLAS_GLOB.split("*")[0] in lines[0]
 
     def test_overflowing_diagonal_still_passes(self, capsys):
         # with m = 0 the matrix is diagonal: nothing to rotate, nothing to refuse

@@ -106,6 +106,12 @@ class TestCertify:
         reports = harness.certify(harness.gen_instance(3, 0, 1e2, seed=0), bound_scale=0.9)
         assert not all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_bound_scale_rejected(self, scale):
+        # an infinite scale makes the pass tolerance -inf; nan makes every slack nan
+        with pytest.raises(ValueError, match="bound scale must be finite"):
+            harness.certify(harness.gen_instance(2, 1, 1e2, seed=0), bound_scale=scale)
+
     def test_grid_summary(self):
         points = [harness.GridPoint(2, m, 1e2, s) for m in (0, 1) for s in (0, 1)]
         summary = harness.certify_grid(points)
@@ -136,6 +142,8 @@ class TestCertify:
             assert [(e.i, e.j) for e in entries] == [(i, j) for i in range(4) for j in range(4)]
             for e in entries:
                 assert e.bound == fn(inst.spectrum, params, e.i, e.j)
+        for e in reports["eigenvalue-rank1"].entries:
+            assert e.bound == bnd.eigenvalue_bound_rank1(inst.spectrum, inst.perts.vectors[0], e.i)
         ev = reports["eigenvalue-rankm"].entries
         assert [e.side for e in ev[:2]] == ["lower", "upper"]
         for e in ev:

@@ -1,12 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigenpert.harness import CROSSCHECK_RTOL, gen_rankone_instance
 from eigenpert.rankone import (
+    NEWTON_SWITCH,
+    ROOT_MAX_ITER,
     DeflationError,
     RankOneUpdate,
+    _secular_roots,
     rankone_full,
     secular_eigenvalues,
 )
@@ -16,6 +22,164 @@ from conftest import align_sign, s_formula
 
 def update(lams, z):
     return RankOneUpdate(Spectrum(lams), np.asarray(z, dtype=float))
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _secular_root_reference(delta, w, lo, hi):
+    """One root of 1 + sum w_j/(delta_j - mu) = 0 in (lo, hi), solved alone:
+    bisection down to NEWTON_SWITCH of the bracket (at most ROOT_MAX_ITER
+    halvings), then safeguarded Newton."""
+
+    def g(mu):
+        den = delta - mu
+        terms = w / den
+        return 1.0 + float(terms.sum()), float(np.sum(terms / den))
+
+    width0 = hi - lo
+    a, b = lo, hi
+    for _ in range(ROOT_MAX_ITER):
+        if (b - a) <= NEWTON_SWITCH * width0:
+            break
+        mid = 0.5 * (a + b)
+        gv, _ = g(mid)
+        if gv < 0.0:
+            a = mid
+        else:
+            b = mid
+    mu = 0.5 * (a + b)
+    for _ in range(ROOT_MAX_ITER):
+        gv, gp = g(mu)
+        if gv == 0.0:
+            return mu
+        if gv < 0.0:
+            a = mu
+        else:
+            b = mu
+        if gp <= 0.0:
+            nxt = 0.5 * (a + b)
+        else:
+            nxt = mu - gv / gp
+            if not (a < nxt < b):
+                nxt = 0.5 * (a + b)
+        if abs(nxt - mu) <= 32.0 * _EPS * abs(nxt):
+            return nxt
+        mu = nxt
+    return mu
+
+
+def _brackets_reference(la, w, total):
+    """Anchor and bracket of each active root, chosen one root at a time:
+    the top root in (0, ||z||^2], root i >= 1 in the half gap of
+    (lambda_i, lambda_{i-1}) that the sign of g at the midpoint picks."""
+    n = la.size
+    anchors, lo, hi = np.zeros(n, dtype=int), np.zeros(n), np.zeros(n)
+    for i in range(n):
+        if i == 0:
+            top = total if total > 0.0 else 1.0
+            while 1.0 + float(np.sum(w / (la - la[0] - top))) < 0.0:
+                top *= 1.0 + 2.0**-30
+            hi[0] = top
+            continue
+        gap = float(la[i - 1] - la[i])
+        if 1.0 + float(np.sum(w / ((la - la[i]) - 0.5 * gap))) >= 0.0:
+            anchors[i], hi[i] = i, 0.5 * gap
+        else:
+            anchors[i], lo[i] = i - 1, -0.5 * gap
+    return anchors, lo, hi
+
+
+def assert_roots_match_reference(u):
+    """The lockstep roots of `u` equal the one-root-at-a-time reference bit
+    for bit, row by row, and so do secular_eigenvalues' anchors and offsets."""
+    sol = secular_eigenvalues(u)
+    la = u.spectrum.lambdas[sol._active]
+    w = sol._z_rot[sol._active] ** 2
+    znorm = float(np.linalg.norm(u.z))
+    anchors, lo, hi = _brackets_reference(la, w, znorm * znorm)
+    rows = _secular_roots(la - la[anchors][:, None], w, lo, hi)
+    for r in range(la.size):
+        with np.errstate(over="ignore", divide="ignore"):
+            ref = _secular_root_reference(la - la[anchors[r]], w, lo[r], hi[r])
+        assert rows[r].tobytes() == np.float64(ref).tobytes(), (r, rows[r], ref)
+    assert np.array_equal(sol._anchor, anchors)
+    assert sol._mu.tobytes() == rows.tobytes()
+
+
+def graded_rank1(rng, log_l1, d=64):
+    """A graded spectrum from 10**log_l1 down to 1 with jittered log-gaps,
+    and weights |v_j| log-uniform in [1e-3, 2] with random signs."""
+    gaps = rng.uniform(0.5, 1.5, d - 1)
+    gaps *= log_l1 / gaps.sum()
+    lambdas = 10.0 ** np.concatenate([[0.0], np.cumsum(gaps)])[::-1]
+    signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+    return lambdas, signs * 10.0 ** rng.uniform(-3.0, np.log10(2.0), d)
+
+
+_LAMBDA_POOL = st.lists(st.floats(1.0, 1e8), min_size=1, max_size=4)
+_WEIGHT = st.one_of(
+    st.just(0.0),
+    st.floats(-2.0, 2.0),
+    st.builds(lambda s, e: s * 10.0**e, st.sampled_from([-1.0, 1.0]), st.integers(-13, 0)),
+)
+
+
+@st.composite
+def rankone_inputs(draw):
+    """Spectra drawn from a small pool of values (so ties are common) and
+    weights that may be zero or as small as 1e-13."""
+    d = draw(st.integers(1, 12))
+    pool = draw(_LAMBDA_POOL)
+    lambdas = sorted(draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d)), reverse=True)
+    return lambdas, draw(st.lists(_WEIGHT, min_size=d, max_size=d))
+
+
+class TestLockstepRoots:
+    def test_graded_benchmark_instances(self):
+        rng = np.random.default_rng(64)
+        for log_l1 in np.linspace(2.0, 11.0, 24):
+            lambdas, v = graded_rank1(rng, log_l1)
+            assert_roots_match_reference(RankOneUpdate.from_direction(Spectrum(lambdas), v))
+
+    def test_generated_instances(self):
+        for seed in range(500):
+            inst = gen_rankone_instance(seed)
+            assert_roots_match_reference(
+                RankOneUpdate.from_direction(inst.spectrum, inst.perts.vectors[0])
+            )
+
+    @given(rankone_inputs())
+    @example(([3.0, 2.0, 1.0], [0.0, 0.0, 0.0]))  # no active root
+    @example(([1.0] * 5, [0.3, -0.2, 1e-13, 0.0, 0.5]))  # lambda = I: one root
+    @example(([4.0, 1.0], [0.125, 1.25]))  # g = 0 exactly at the gap midpoint
+    @example(([2.0, 1.0], [1e-161, 1e-161]))  # top bracket a few subnormals wide
+    @settings(max_examples=300, deadline=None)
+    def test_ties_zero_and_tiny_weights(self, inputs):
+        lambdas, v = inputs
+        assert_roots_match_reference(RankOneUpdate.from_direction(Spectrum(lambdas), v))
+
+    def test_subnormal_top_bracket_terminates(self):
+        # ||z||^2 = 3e-322 never bisects down to NEWTON_SWITCH of itself
+        sol = secular_eigenvalues(update([2.0, 1.0], [1e-161, 1e-161]))
+        assert np.array_equal(sol.values, [2.0, 1.0])
+
+    def test_rankone_full_bytes_pinned(self):
+        # sha256 of values + basis bytes, recorded from the one-root-at-a-time solver
+        def digest(spec, v):
+            eig = rankone_full(spec, v)
+            return hashlib.sha256(eig.values.tobytes() + eig.basis.tobytes()).hexdigest()
+
+        rng = np.random.default_rng(64)
+        graded = Spectrum(10.0 ** np.linspace(11.0, 0.0, 64))
+        v = rng.choice([-1.0, 1.0], 64) * 10.0 ** rng.uniform(-3.0, 0.3, 64)
+        inst = gen_rankone_instance(3)
+        tied = Spectrum([5.0, 3.0, 3.0, 2.0, 1.0]), [0.4, 0.3, -0.2, 0.0, 0.5]
+        assert [digest(graded, v), digest(inst.spectrum, inst.perts.vectors[0]), digest(*tied)] == [
+            "1cdb4271c38234c721bd983324d769595e502d8528e559c81beeaf050d135e0f",
+            "eaa26563d3e548d12d458386a12c500669fde54e44843758abe6c31955398f89",
+            "82ee111a76da1537e07f1358db04e147b8c53045df05b394e67fe879475023a4",
+        ]
 
 
 class TestSecularEigenvalues:
