@@ -14,7 +14,6 @@ arguments give Python floats.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -222,22 +221,34 @@ def eigvec_bound_rankm(spec: Spectrum, p: BoundParams, i, j):
     return _value(np.minimum(1.0, cm_constant(p) * a))
 
 
-@dataclass(frozen=True, slots=True)
-class BoundEntry:
-    """One observed-vs-certified comparison.
+class BoundEntry(NamedTuple):
+    """One observed-vs-certified comparison, as a row of a report.
 
     `side` is "upper" when the bound must dominate the observation and
     "lower" when the observation must dominate the bound; slack is
-    non-negative in the sound direction either way.
+    non-negative in the sound direction either way.  `j` is -1 for the
+    eigenvalue kinds, which compare one index only.
     """
 
     i: int
-    j: int | None
+    j: int
     observed: float
     bound: float
     slack: float
     side: str = "upper"
 
+
+# One record per BoundEntry, fields in the same order.
+ENTRY_DTYPE = np.dtype(
+    [
+        ("i", np.int64),
+        ("j", np.int64),
+        ("observed", np.float64),
+        ("bound", np.float64),
+        ("slack", np.float64),
+        ("side", "U5"),
+    ]
+)
 
 REPORT_KINDS = (
     "eigenvalue-rank1",
@@ -250,37 +261,44 @@ REPORT_KINDS = (
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All entries for one inequality kind on one instance."""
+    """All entries for one inequality kind on one instance.
+
+    `entries` is one record array of ENTRY_DTYPE: its columns read as
+    attributes (`entries.slack`), and iterating it yields records whose
+    fields do too (`e.side`, `e.i`).
+    """
 
     kind: str
-    entries: tuple
+    entries: np.recarray
     passed: bool
     notes: tuple = ()
 
     @property
     def worst_slack(self) -> float:
-        if not self.entries:
+        if not len(self.entries):
             return math.inf
-        return min(e.slack for e in self.entries)
+        return float(self.entries.slack.min())
 
 
 def make_report(kind: str, entries, notes=()) -> BoundReport:
+    """A report from a record array of ENTRY_DTYPE or a sequence of
+    BoundEntry rows; `passed` applies the pass rule to every entry."""
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
-    entries = tuple(entries)
-    slack = np.array([e.slack for e in entries], dtype=float)
-    bound = np.array([e.bound for e in entries], dtype=float)
-    passed = bool(np.all(passes(slack, bound)))
+    entries = np.asarray(entries, dtype=ENTRY_DTYPE).view(np.recarray)
+    passed = bool(np.all(passes(entries.slack, entries.bound)))
     return BoundReport(kind=kind, entries=entries, passed=passed, notes=tuple(notes))
 
 
 def report_from_arrays(kind: str, i, j, observed, bound, side="upper", notes=()) -> BoundReport:
     """One report from parallel arrays: entry k compares observed[k] with
-    bound[k] at (i[k], j[k]).  `j` is None for the eigenvalue kinds; `side`
-    is one string for every entry or an array of them."""
-    side = np.broadcast_to(side, bound.shape)
-    slack = np.where(side == "upper", bound - observed, observed - bound)
-    js = [None] * len(i) if j is None else j.tolist()
-    sides = map(sys.intern, side.tolist())  # one shared str per side, not one per entry
-    columns = (i.tolist(), js, observed.tolist(), bound.tolist(), slack.tolist(), sides)
-    return make_report(kind, map(BoundEntry, *columns), notes)
+    bound[k] at (i[k], j[k]).  `j` is None for the eigenvalue kinds (stored
+    as -1); `side` is one string for every entry or an array of them."""
+    entries = np.empty(len(bound), dtype=ENTRY_DTYPE)
+    entries["i"] = i
+    entries["j"] = -1 if j is None else j
+    entries["observed"] = observed
+    entries["bound"] = bound
+    entries["side"] = side
+    entries["slack"] = np.where(entries["side"] == "upper", bound - observed, observed - bound)
+    return make_report(kind, entries, notes)

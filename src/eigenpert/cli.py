@@ -195,18 +195,18 @@ def render_bounds_csv(reports) -> str:
     """Per-entry CSV across all reports (1-based indices, '-' for absent j)."""
     lines = [BOUNDS_CSV_HEADER]
     for rep in reports:
-        for e in rep.entries:
-            ok = bnd.passes(e.slack, e.bound)
+        ok_column = bnd.passes(rep.entries.slack, rep.entries.bound).tolist()
+        for (i, j, observed, bound, slack, side), ok in zip(rep.entries.tolist(), ok_column):
             lines.append(
                 ",".join(
                     [
                         rep.kind,
-                        e.side,
-                        str(e.i + 1),
-                        str(e.j + 1) if e.j is not None else "-",
-                        _fmt(e.observed),
-                        _fmt(e.bound),
-                        _fmt(e.slack),
+                        side,
+                        str(i + 1),
+                        str(j + 1) if j >= 0 else "-",
+                        _fmt(observed),
+                        _fmt(bound),
+                        _fmt(slack),
                         "1" if ok else "0",
                     ]
                 )
@@ -250,6 +250,11 @@ def parse_eig_values(text: str) -> list:
     return vals
 
 
+def _bound_cells(report, n: int) -> list:
+    """A report's bound column as table cells; n dashes for an absent kind."""
+    return [_fmt(b) for b in report.entries.bound.tolist()] if report else ["-"] * n
+
+
 def cmd_bounds(args) -> int:
     try:
         inst = load_instance(args.instance)
@@ -273,36 +278,29 @@ def cmd_bounds(args) -> int:
         f"instance: d={inst.d} m={inst.m} V={_fmt(params.v_bound)} "
         f"v_inf={_fmt(params.v_inf)} C_m={_fmt(cm)}"
     )
-    ev = by_kind["eigenvalue-rankm"]
-    lo = {e.i: e for e in ev.entries if e.side == "lower"}
-    hi = {e.i: e for e in ev.entries if e.side == "upper"}
-    rank1 = by_kind.get("eigenvalue-rank1")
-    b6 = {e.i: e.bound for e in rank1.entries} if rank1 else {}
+    # certify lists eigenvalue-rankm as (lower, upper) pairs in index order,
+    # and every eigenvector kind over the same row-major (i, j) grid
+    ev = by_kind["eigenvalue-rankm"].entries
+    lo, hi = ev[ev.side == "lower"], ev[ev.side == "upper"]
+    ok = bnd.passes(lo.slack, lo.bound) & bnd.passes(hi.slack, hi.bound)
+    b6 = _bound_cells(by_kind.get("eigenvalue-rank1"), len(hi))
     print("eigenvalues:")
     print("  i  nu_i  interval_lo  interval_hi  bound_rank1  pass")
-    for i in sorted(hi):
-        ok = bnd.passes(lo[i].slack, lo[i].bound) and bnd.passes(hi[i].slack, hi[i].bound)
-        b6s = _fmt(b6[i]) if i in b6 else "-"
-        print(
-            f"  {i + 1}  {_fmt(hi[i].observed)}  {_fmt(lo[i].bound)}  "
-            f"{_fmt(hi[i].bound)}  {b6s}  {'ok' if ok else 'FAIL'}"
-        )
+    rows = zip(hi.i.tolist(), hi.observed.tolist(), lo.bound.tolist(), hi.bound.tolist())
+    for (i, nu, blo, bhi), b6s, good in zip(rows, b6, ok.tolist()):
+        print(f"  {i + 1}  {_fmt(nu)}  {_fmt(blo)}  {_fmt(bhi)}  {b6s}  {'ok' if good else 'FAIL'}")
 
-    vec_m = by_kind["eigvec-rankm"]
-    vec_1 = by_kind.get("eigvec-rank1")
-    vec_r = by_kind.get("eigvec-rank1-refined")
-    b8 = {(e.i, e.j): e.bound for e in vec_1.entries} if vec_1 else {}
-    b9 = {(e.i, e.j): e.bound for e in vec_r.entries} if vec_r else {}
+    vec = by_kind["eigvec-rankm"].entries
+    b8 = _bound_cells(by_kind.get("eigvec-rank1"), len(vec))
+    b9 = _bound_cells(by_kind.get("eigvec-rank1-refined"), len(vec))
+    ok = bnd.passes(vec.slack, vec.bound)
     print("eigenvector coordinates:")
     print("  i  j  observed  bound_rank1  bound_refined  bound_rankm  pass")
-    for e in vec_m.entries:
-        ok = bnd.passes(e.slack, e.bound)
-        key = (e.i, e.j)
-        c8 = _fmt(b8[key]) if key in b8 else "-"
-        c9 = _fmt(b9[key]) if key in b9 else "-"
+    rows = zip(vec.i.tolist(), vec.j.tolist(), vec.observed.tolist(), vec.bound.tolist())
+    for (i, j, observed, bm), c8, c9, good in zip(rows, b8, b9, ok.tolist()):
         print(
-            f"  {e.i + 1}  {e.j + 1}  {_fmt(e.observed)}  {c8}  {c9}  "
-            f"{_fmt(e.bound)}  {'ok' if ok else 'FAIL'}"
+            f"  {i + 1}  {j + 1}  {_fmt(observed)}  {c8}  {c9}  "
+            f"{_fmt(bm)}  {'ok' if good else 'FAIL'}"
         )
 
     for rep in reports:
@@ -360,6 +358,11 @@ def _parse_lambda1_grid(text: str):
             f"expected FROM:TO:COUNT (log-spaced), got {text!r}"
         )
     lo, hi = float(parts[0]), float(parts[1])
+    for name, value in (("FROM", lo), ("TO", hi)):
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(
+                f"grid {name} must be finite, got {value!r} in {text!r}"
+            )
     count = int(parts[2])
     if count < 1 or lo < 1.0 or hi < lo:
         raise argparse.ArgumentTypeError(f"invalid grid {text!r}")

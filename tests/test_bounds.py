@@ -388,12 +388,14 @@ class TestReports:
             np.array(["lower", "upper"]),
         )
         assert rep.passed and rep.notes == ()
-        assert rep.entries == (
-            bnd.BoundEntry(0, None, 5.0, 4.0, 1.0, "lower"),
-            bnd.BoundEntry(0, None, 5.0, 6.0, 1.0, "upper"),
-        )
-        assert {type(v) for e in rep.entries for v in (e.observed, e.bound, e.slack)} == {float}
-        assert {type(e.i) for e in rep.entries} == {int}
+        e = rep.entries
+        assert e.dtype == bnd.ENTRY_DTYPE and len(e) == 2
+        assert e.i.tolist() == [0, 0]
+        assert e.j.tolist() == [-1, -1]  # no j for the eigenvalue kinds
+        assert e.observed.tolist() == [5.0, 5.0]
+        assert e.bound.tolist() == [4.0, 6.0]
+        assert e.slack.tolist() == [1.0, 1.0]
+        assert e.side.tolist() == ["lower", "upper"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -399,6 +399,23 @@ class TestCmdScan:
             cli.main(["scan", "--d", "2", "--m", "1", "--j", "2",
                       "--lambda1", "nope", "--seed", "0"])
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("1e2:inf:3", "grid TO must be finite, got inf in '1e2:inf:3'"),
+            ("1e2:1e400:3", "grid TO must be finite, got inf in '1e2:1e400:3'"),
+            ("nan:1e4:3", "grid FROM must be finite, got nan in 'nan:1e4:3'"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_grid_end_exit_2(self, capsys, grid, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--d", "3", "--m", "1", "--j", "2", "--lambda1", grid])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f"argument --lambda1: {message}")
+
     def test_bad_j_values(self, capsys):
         rc = cli.main(["scan", "--d", "3", "--m", "1", "--j", "7",
                        "--lambda1", "1e2:1e4:3", "--seed", "0"])

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +151,37 @@ class TestCertify:
         for e in ev:
             lo, hi = bnd.eigenvalue_bound_rankm(inst.spectrum, params, e.i)
             assert e.bound == (lo if e.side == "lower" else hi)
+
+    def test_rows_rebuild_certify_reports(self):
+        # the row path (BoundEntry rows into make_report) rebuilds every
+        # report bit for bit, and iterating the entries yields records
+        # whose fields read as attributes
+        reports = harness.certify(harness.gen_instance(10, 1, 1e6, seed=1))
+        assert sorted(r.kind for r in reports) == sorted(bnd.REPORT_KINDS)
+        for rep in reports:
+            rows = [bnd.BoundEntry(*e) for e in rep.entries]
+            rebuilt = bnd.make_report(rep.kind, rows)
+            assert rebuilt.entries.tobytes() == rep.entries.tobytes()
+            assert rebuilt.passed == rep.passed
+            assert rebuilt.worst_slack == rep.worst_slack
+            for row, e in zip(rows, rep.entries):
+                assert (e.i, e.j, e.observed, e.bound, e.slack, e.side) == row
+
+    def test_reports_retain_under_100_bytes_per_entry(self):
+        inst = harness.gen_instance(20, 1, 1e8, 0)
+        harness.certify(inst)  # first-call set-up (LAPACK binding) is not retained by reports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reports = harness.certify(inst)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_entries = sum(len(r.entries) for r in reports)
+        assert n_entries == 1260
+        assert retained < 100 * n_entries
 
     def test_oracle_failure_names_instance(self, monkeypatch):
         # dgejsv reports failure through info != 0
