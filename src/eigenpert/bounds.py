@@ -88,23 +88,19 @@ def eigenvalue_bound_rankm(spec: Spectrum, p: BoundParams, i) -> tuple:
     return _value(lam), _value(lam * (1.0 + p.m * p.d * p.v_inf**2))
 
 
-def j_index(spec: Spectrum, v, i: int) -> int:
+def j_index(spec: Spectrum, v, i):
     """The coordinate the rank-one eigenvalue refinement pivots on.
 
     Smallest j in {i..d-1} maximizing |v_j| subject to
         lambda_j >= lambda_i (1 - sqrt(lambda_j/lambda_i) (d-i) vinf |v_j|)
     (0-based i, so d-i counts the trailing coordinates including i).
-    The feasible set always contains j = i.
+    The feasible set always contains j = i.  For an array i, one feasibility
+    mask over the rows i and the columns j >= i, then a masked argmax whose
+    first maximum is the smallest j.
     """
-    return int(_j_indices(spec, np.asarray(v, dtype=float), i))
-
-
-def _j_indices(spec: Spectrum, v: np.ndarray, i) -> np.ndarray:
-    """`j_index` for every index in the array i: one feasibility mask over
-    the rows i and the columns j >= i, then a masked argmax whose first
-    maximum is the smallest j."""
     lam = spec.lambdas
     d = spec.d
+    v = np.asarray(v, dtype=float)
     i = np.asarray(i)
     out_of_range = (i < 0) | (i >= d)
     if np.any(out_of_range):
@@ -121,9 +117,12 @@ def _j_indices(spec: Spectrum, v: np.ndarray, i) -> np.ndarray:
     vinf = float(np.max(mag))
     lam_i = lam[i][..., None]
     tail = (d - i)[..., None]
-    threshold = lam_i * (1.0 - np.sqrt(lam / lam_i) * tail * vinf * mag)
+    # lambda_j / lambda_i may overflow in the columns j < i, which the mask drops
+    with np.errstate(over="ignore"):
+        threshold = lam_i * (1.0 - np.sqrt(lam / lam_i) * tail * vinf * mag)
     feasible = (np.arange(d) >= i[..., None]) & (lam >= threshold)
-    return np.argmax(np.where(feasible, mag, -1.0), axis=-1)
+    ji = np.argmax(np.where(feasible, mag, -1.0), axis=-1)
+    return int(ji) if np.ndim(ji) == 0 else ji
 
 
 def eigenvalue_bound_rank1(spec: Spectrum, v, i):
@@ -134,7 +133,7 @@ def eigenvalue_bound_rank1(spec: Spectrum, v, i):
     """
     v = np.asarray(v, dtype=float)
     i = np.asarray(i)
-    ji = _j_indices(spec, v, i)
+    ji = j_index(spec, v, i)
     vinf = float(np.max(np.abs(v)))
     return _value(spec.lambdas[i] * (1.0 + (spec.d - i) * vinf * np.abs(v[ji])))
 
@@ -148,12 +147,7 @@ def psi(rho: float, w: float) -> float:
     return max(2.0 / math.sqrt(1.0 - rho), 2.0 * w / rho)
 
 
-class PsiInfimum(NamedTuple):
-    value: float
-    rho: float
-
-
-def psi_inf(w) -> PsiInfimum:
+def psi_inf(w):
     """Exact infimum of psi(., w) over (0, 1).
 
     The decreasing branch 2w/rho meets the increasing branch
@@ -163,8 +157,7 @@ def psi_inf(w) -> PsiInfimum:
     w = np.asarray(w, dtype=float)
     if np.any(w <= 0.0):
         raise ValueError(f"w must be positive, got {w}")
-    root = np.sqrt(w * w + 4.0)
-    return PsiInfimum(value=_value(w + root), rho=_value(2.0 * w / (w + root)))
+    return _value(w + np.sqrt(w * w + 4.0))
 
 
 def eigvec_bound_rank1(spec: Spectrum, p: BoundParams, i, j):
@@ -188,7 +181,7 @@ def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
     w = (p.d - i) * v2
     # outside the regime the denominator may vanish; those entries are masked
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = w * psi_inf(w).value / (1.0 - (1.0 + w) * r) * np.sqrt(r)
+        value = w * psi_inf(w) / (1.0 - (1.0 + w) * r) * np.sqrt(r)
     return _value(np.where(applicable, np.minimum(1.0, value), 1.0))
 
 

@@ -148,18 +148,6 @@ def load_instance(path: str) -> harness.Instance:
         return parse_instance_text(fh.read(), source=path)
 
 
-def format_instance(instance: harness.Instance) -> str:
-    lines = [
-        f"dim = {instance.d}",
-        "lambdas = [" + ", ".join(_fmt(x) for x in instance.spectrum.lambdas) + "]",
-    ]
-    for v in instance.perts.vectors:
-        lines.append("vector = [" + ", ".join(_fmt(x) for x in v) + "]")
-    lines.append(f"seed = {instance.seed}")
-    lines.append(f'recipe = "{instance.meta}"')
-    return "\n".join(lines) + "\n"
-
-
 def render_scan_csv(records, fit=None, fit_note: str | None = None) -> str:
     lines = [CSV_HEADER]
     for r in records:
@@ -239,15 +227,6 @@ def cmd_eig(args) -> int:
         comps = ", ".join(_fmt(x) for x in eig.basis[:, i])
         print(f"eigenvector {i + 1} = [{comps}]")
     return 0
-
-
-def parse_eig_values(text: str) -> list:
-    """Eigenvalues back out of cmd_eig output (supports round-tripping)."""
-    vals = []
-    for line in text.splitlines():
-        if line.startswith("eigenvalue "):
-            vals.append(float(line.split("=", 1)[1]))
-    return vals
 
 
 def _bound_cells(report, n: int) -> list:
@@ -335,12 +314,9 @@ def cmd_verify(args) -> int:
         print(f"  {kind}: {_fmt(summary.worst_slack[kind])}")
     if summary.failures:
         print("failing instances:")
-        seen = []
         for pt, kind in summary.failures:
             print(f"  d={pt.d} m={pt.m} lambda1={_fmt(pt.lambda1)} seed={pt.seed} [{kind}]")
-            if pt not in seen:
-                seen.append(pt)
-        pt = seen[0]
+        pt = summary.failures[0][0]
         print(
             "reproduce: eigenpert verify "
             f"--d {pt.d} --m {pt.m} --lambda1-list {_fmt(pt.lambda1)} --seed-list {pt.seed}"

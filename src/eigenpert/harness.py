@@ -173,8 +173,7 @@ def _oracle(instance: Instance) -> EigenDecomposition:
         return factor_eig(f)
     except ConvergenceError as exc:
         raise ConvergenceError(
-            f"oracle failed on instance seed={instance.seed} meta={instance.meta}: {exc}",
-            residual=exc.residual,
+            f"oracle failed on instance seed={instance.seed} meta={instance.meta}: {exc}"
         ) from exc
 
 
@@ -413,15 +412,15 @@ class SlopeFit:
     count: int
 
 
-def fit_slope(records, min_lambda1: float = SLOPE_GATE_LAMBDA1) -> SlopeFit:
-    """Least-squares slope over records with lambda_1 >= `min_lambda1`.
+def fit_slope(records) -> SlopeFit:
+    """Least-squares slope over records with lambda_1 >= SLOPE_GATE_LAMBDA1.
 
     The gate keeps the fit in the asymptotic regime; it is applied to the
     condition number lambda_1 (equal to the pair ratio for the j = d
     protocol).  Requires at least 3 gated points with positive observed
     values.
     """
-    gated = [r for r in records if r.lambda1 >= min_lambda1]
+    gated = [r for r in records if r.lambda1 >= SLOPE_GATE_LAMBDA1]
     if any(r.observed <= 0.0 for r in gated):
         raise ValueError(
             "observed values must be positive for a log-log fit "

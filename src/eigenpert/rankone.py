@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symmat import EigenDecomposition, Spectrum, apply_sign_convention
+from .symmat import ConvergenceError, EigenDecomposition, Spectrum, apply_sign_convention
 
 # Coordinate j deflates when |z_j| <= Z_DEFLATION_RTOL * ||z||, or when
 # lambda_j lies within LAMBDA_COLLISION_RTOL * lambda_head of the active
@@ -200,7 +200,13 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
     lam = u.spectrum.lambdas
     d = u.spectrum.d
     z = u.z
-    znorm = float(np.linalg.norm(z))
+    with np.errstate(over="ignore"):
+        znorm = float(np.linalg.norm(z))
+    total = znorm * znorm
+    # the top eigenvalue is at least ||z||^2; deflating against an infinite
+    # norm would return the unperturbed spectrum
+    if not math.isfinite(total):
+        raise ConvergenceError("an eigenvalue overflows: ||z||^2 exceeds the double range")
 
     deflated = np.abs(z) <= Z_DEFLATION_RTOL * znorm
     z_rot = z.copy()
@@ -228,7 +234,6 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
     n = act.size
     la = lam[act]
     w = z_rot[act] ** 2
-    total = znorm * znorm
 
     # Top root: anchor lambda_1(active), mu in (0, ||z||^2].  Root i >= 1
     # lies in (lambda_i, lambda_{i-1}); the sign of g at the gap midpoint
@@ -316,8 +321,16 @@ def rankone_full(spec: Spectrum, v) -> EigenDecomposition:
             f"1e-14 relative of undeflated pole lambda[{act[j]}]={float(la[j])!r}; "
             "deflation thresholds are misconfigured"
         )
-    comps = sol._z_rot[act] / dens
-    comps *= 1.0 / np.linalg.norm(comps, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        comps = sol._z_rot[act] / dens
+        norms = np.linalg.norm(comps, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms)):
+        k = int(np.argmin(np.isfinite(norms)))
+        raise ConvergenceError(
+            f"the eigenvector of secular root nu={float(la[sol._anchor[k]] + sol._mu[k])!r} "
+            "has a norm that overflows"
+        )
+    comps *= 1.0 / norms
     basis = np.eye(spec.d)
     basis[np.ix_(act, act)] = comps.T
     for (j, k, c, s) in reversed(sol._rotations):

@@ -39,11 +39,8 @@ class DimensionMismatchError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The Jacobi SVD failed, or its input or an eigenvalue is not finite."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """The Jacobi SVD failed, or an input, an eigenvalue or an eigenvector
+    norm is not finite."""
 
 
 class LapackBindingError(RuntimeError):
@@ -154,21 +151,9 @@ class SymmetricMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not np.array_equal(arr, arr.T):
-            raise ValueError("entries are not exactly symmetric; use SymmetricMatrix.symmetrized")
+            raise ValueError("entries are not exactly symmetric")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-    @classmethod
-    def symmetrized(cls, arr, rel_tol: float = 1e-12) -> "SymmetricMatrix":
-        """Mirror nearly-symmetric input; reject anything beyond `rel_tol`."""
-        a = np.array(arr, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale = max(float(np.max(np.abs(a))), 1.0)
-        skew = float(np.max(np.abs(a - a.T)))
-        if skew > rel_tol * scale:
-            raise ValueError(f"matrix is not symmetric: max |a - a^T| = {skew:.3e}")
-        return cls(0.5 * (a + a.T))
 
     @property
     def dim(self) -> int:
@@ -225,12 +210,11 @@ def build_perturbed(spec: Spectrum, perts: PerturbationSet) -> SymmetricMatrix:
     mirroring.
     """
     d = spec.d
-    for k, v in enumerate(perts.vectors):
-        if v.size != d:
-            raise DimensionMismatchError(
-                f"vector {k} has length {v.size}, expected spectrum dimension {d}",
-                vector_index=k,
-            )
+    if perts.m and perts.dim != d:
+        raise DimensionMismatchError(
+            f"vector 0 has length {perts.dim}, expected spectrum dimension {d}",
+            vector_index=0,
+        )
     sqrt_l = np.sqrt(spec.lambdas)
     a = np.diag(spec.lambdas)
     for v in perts.vectors:
@@ -265,7 +249,7 @@ def factor_eig(f: np.ndarray) -> EigenDecomposition:
     vectors of F, by dgejsv on G = F^T with column-scaled relative accuracy.
 
     A non-finite entry of F, or an eigenvalue that overflows, raises
-    ConvergenceError with residual inf.
+    ConvergenceError.
     """
     # a C-ordered float64 copy, which dgejsv may overwrite, is G = F^T in
     # the column-major layout it reads
@@ -273,7 +257,7 @@ def factor_eig(f: np.ndarray) -> EigenDecomposition:
     if work.ndim != 2 or not 1 <= work.shape[0] <= work.shape[1]:
         raise ValueError(f"the factor must be d x n with n >= d >= 1, got shape {work.shape}")
     if not np.all(np.isfinite(work)):
-        raise ConvergenceError("the factor has a non-finite entry", residual=math.inf)
+        raise ConvergenceError("the factor has a non-finite entry")
     d, n = work.shape
     sva, stat, istat = np.empty(d), np.empty(7), np.empty(3, dtype=np.int64)
     vt = np.empty((d, d))  # row k is column k of V in LAPACK's column-major view
@@ -283,13 +267,13 @@ def factor_eig(f: np.ndarray) -> EigenDecomposition:
         sva.ctypes.data, None, 1, vt.ctypes.data, d, stat.ctypes.data, istat.ctypes.data,
     )
     if info != 0:
-        raise ConvergenceError(f"LAPACK dgejsv failed with info = {info}", residual=math.inf)
+        raise ConvergenceError(f"LAPACK dgejsv failed with info = {info}")
     with np.errstate(over="ignore"):
         sigma = stat[0] / stat[1] * sva  # dgejsv's factored form of the singular values
         vals = sigma * sigma
     if not np.all(np.isfinite(vals)):
         message = f"an eigenvalue overflows: singular value {float(sigma[0])!r} squared"
-        raise ConvergenceError(message, residual=math.inf)
+        raise ConvergenceError(message)
     order = np.argsort(-vals, kind="stable")
     return EigenDecomposition(vals[order], apply_sign_convention(vt[order].T))
 
@@ -300,10 +284,10 @@ def jacobi_eig(a: SymmetricMatrix) -> EigenDecomposition:
 
     A matrix that is not positive definite raises NotPositiveDefiniteError
     with its smallest eigenvalue; one with a non-finite entry raises
-    ConvergenceError with residual inf.
+    ConvergenceError.
     """
     if not np.all(np.isfinite(a.entries)):
-        raise ConvergenceError("the matrix has a non-finite entry", residual=math.inf)
+        raise ConvergenceError("the matrix has a non-finite entry")
     try:
         low = np.linalg.cholesky(a.entries)
     except np.linalg.LinAlgError as exc:
@@ -323,12 +307,11 @@ def general_to_diagonal(
     mapped back to the original coordinates.
     """
     d = b.dim
-    for k, v in enumerate(perts.vectors):
-        if v.size != d:
-            raise DimensionMismatchError(
-                f"vector {k} has length {v.size}, expected matrix dimension {d}",
-                vector_index=k,
-            )
+    if perts.m and perts.dim != d:
+        raise DimensionMismatchError(
+            f"vector 0 has length {perts.dim}, expected matrix dimension {d}",
+            vector_index=0,
+        )
     eig = jacobi_eig(b)  # refuses a b that is not positive definite
     spec = Spectrum(eig.values)
     rotated = PerturbationSet(tuple(eig.basis.T @ v for v in perts.vectors), dim=d)

@@ -68,28 +68,27 @@ class TestPsi:
 
 class TestPsiInf:
     def test_w1_closed_form(self):
-        res = bnd.psi_inf(1.0)
-        assert res.rho == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-15)
-        assert res.value == pytest.approx(1.0 + math.sqrt(5.0), rel=1e-15)
+        assert bnd.psi_inf(1.0) == pytest.approx(1.0 + math.sqrt(5.0), rel=1e-15)
 
     def test_small_w_limit(self):
-        assert bnd.psi_inf(1e-12).value == pytest.approx(2.0, rel=1e-9)
+        assert bnd.psi_inf(1e-12) == pytest.approx(2.0, rel=1e-9)
 
     def test_monotone_in_w(self):
-        assert bnd.psi_inf(2.0).value > bnd.psi_inf(1.0).value
+        assert bnd.psi_inf(2.0) > bnd.psi_inf(1.0)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=200)
     def test_is_infimum(self, w):
         # no sampled rho beats the closed-form crossing value
-        res = bnd.psi_inf(w)
-        assert 0.0 < res.rho < 1.0
+        value = bnd.psi_inf(w)
+        rho_star = 2.0 * w / (w + math.sqrt(w * w + 4.0))
+        assert 0.0 < rho_star < 1.0
         # evaluating psi at the crossing loses ~w^2 ulps to cancellation in
         # (1 - rho); the closed form itself is exact
         rel = max(1e-12, 1e-13 * w * w)
-        assert bnd.psi(res.rho, w) == pytest.approx(res.value, rel=rel)
+        assert bnd.psi(rho_star, w) == pytest.approx(value, rel=rel)
         for rho in (0.05, 0.2, 0.5, 0.8, 0.95):
-            assert bnd.psi(rho, w) >= res.value * (1.0 - 1e-12)
+            assert bnd.psi(rho, w) >= value * (1.0 - 1e-12)
 
 
 class TestEigenvalueBounds:
@@ -168,6 +167,7 @@ class TestJIndex:
             idx = np.arange(spec.d)
             ref = [_j_index_reference(spec.lambdas, v, i) for i in idx]
             assert [bnd.j_index(spec, v, i) for i in idx] == ref
+            assert bnd.j_index(spec, v, idx).tolist() == ref
             vinf = float(np.max(np.abs(v)))
             expected = np.array([
                 float(spec.lambdas[i]) * (1.0 + (spec.d - i) * vinf * abs(float(v[j])))

@@ -187,9 +187,8 @@ class TestCertify:
         # dgejsv reports failure through info != 0
         monkeypatch.setattr(symmat, "_dgejsv", lambda *args: 5)
         inst = harness.gen_instance(3, 1, 1e2, seed=4)
-        with pytest.raises(ConvergenceError, match="seed=4 meta=grid.*info = 5") as err:
+        with pytest.raises(ConvergenceError, match="seed=4 meta=grid.*info = 5"):
             harness.certify(inst)
-        assert err.value.residual == math.inf
         with pytest.raises(ConvergenceError, match="seed=4 meta=grid"):
             harness.scan(3, 1, 2, [1e2], seed=4)
 

@@ -116,10 +116,6 @@ class TestTypes:
         SymmetricMatrix(np.array([[1.0, 2.0], [2.0, 3.0]]))
         with pytest.raises(ValueError, match="symmetric"):
             SymmetricMatrix(np.array([[1.0, 2.0], [2.0 + 1e-15, 3.0]]))
-        m = SymmetricMatrix.symmetrized(np.array([[1.0, 2.0], [2.0 + 1e-15, 3.0]]))
-        assert np.array_equal(m.entries, m.entries.T)
-        with pytest.raises(ValueError):
-            SymmetricMatrix.symmetrized(np.array([[1.0, 2.0], [5.0, 3.0]]))
 
     def test_eigendecomposition_validation(self):
         EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
@@ -218,14 +214,13 @@ class TestJacobi:
         assert abs(eig.values[0] - hi) <= 1e-10 * hi
         assert abs(eig.values[1] - lo) <= 1e-10 * hi
 
-    def test_nonconvergence_carries_residual(self, monkeypatch):
+    def test_nonconvergence_is_refused(self, monkeypatch):
         # dgejsv reports failure through info != 0 (info > 0: its Jacobi
         # sweeps did not converge)
         monkeypatch.setattr(symmat, "_dgejsv", lambda *args: 3)
         a = SymmetricMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        with pytest.raises(ConvergenceError, match="info = 3") as err:
+        with pytest.raises(ConvergenceError, match="info = 3"):
             jacobi_eig(a)
-        assert err.value.residual == math.inf
 
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
@@ -264,9 +259,8 @@ class TestJacobi:
 
     @pytest.mark.parametrize("solve", [lambda x: jacobi_eig(SymmetricMatrix(x)), factor_eig])
     def test_non_finite_entry_is_refused(self, solve):
-        with pytest.raises(ConvergenceError, match="non-finite") as err:
+        with pytest.raises(ConvergenceError, match="non-finite"):
             solve(np.array([[np.inf, 1.0], [1.0, 2.0]]))
-        assert err.value.residual == math.inf
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -280,9 +274,8 @@ class TestJacobi:
         ],
     )
     def test_overflowing_eigenvalue_is_refused(self, f):
-        with pytest.raises(ConvergenceError, match="overflows") as err:
+        with pytest.raises(ConvergenceError, match="overflows"):
             factor_eig(f)
-        assert err.value.residual == math.inf
 
     @pytest.mark.parametrize("d", [5, 10])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -434,7 +427,8 @@ class TestGeneralToDiagonal:
     def test_rotated_diagonal(self):
         c = s = 1.0 / math.sqrt(2.0)
         r = np.array([[c, -s], [s, c]])
-        b = SymmetricMatrix.symmetrized(r @ np.diag([9.0, 1.0]) @ r.T)
+        a = r @ np.diag([9.0, 1.0]) @ r.T
+        b = SymmetricMatrix(0.5 * (a + a.T))
         spec, _, p = general_to_diagonal(b, PerturbationSet((), dim=2))
         np.testing.assert_allclose(spec.lambdas, [9.0, 1.0], rtol=1e-12)
         # columns match the rotation up to the sign convention
@@ -446,7 +440,8 @@ class TestGeneralToDiagonal:
     def test_round_trip_reconstruction(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((5, 5))
-        b = SymmetricMatrix.symmetrized(g @ g.T + 5.0 * np.eye(5))
+        a = g @ g.T + 5.0 * np.eye(5)
+        b = SymmetricMatrix(0.5 * (a + a.T))
         vecs = [rng.standard_normal(5)]
         spec, rotated, p = general_to_diagonal(b, PerturbationSet(vecs))
         recon = p.basis @ np.diag(spec.lambdas) @ p.basis.T
