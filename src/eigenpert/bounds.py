@@ -36,6 +36,15 @@ def _value(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _power(x: float, n: int) -> float:
+    """x**n for a float x >= 0, or +inf where that overflows, which makes
+    the bound it enters vacuous (as a saturated C_m does)."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
 def passes(slack, bound):
     """The pass rule for an observed-vs-certified comparison."""
     return slack >= -PASS_RTOL * np.maximum(1.0, bound)
@@ -45,7 +54,7 @@ def alpha(a, b):
     """sqrt(min(a, b) / max(a, b)) for positive a, b; symmetric, in (0, 1]."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
+    if (a <= 0.0).any() or (b <= 0.0).any():
         raise ValueError(f"alpha requires positive arguments, got ({a}, {b})")
     return _value(np.sqrt(np.minimum(a, b) / np.maximum(a, b)))
 
@@ -79,13 +88,15 @@ class BoundParams:
 
     @classmethod
     def from_perturbations(cls, perts: PerturbationSet) -> "BoundParams":
-        return cls(d=perts.dim, m=perts.m, v_bound=perts.v_bound, v_inf=perts.v_inf)
+        v_inf = perts.v_inf
+        v_bound = max(1.0 / math.sqrt(perts.dim), v_inf)
+        return cls(d=perts.dim, m=perts.m, v_bound=v_bound, v_inf=v_inf)
 
 
 def eigenvalue_bound_rankm(spec: Spectrum, p: BoundParams, i) -> tuple:
     """Interval [lambda_i, lambda_i (1 + m d v_inf^2)] certain to contain nu_i."""
     lam = spec.lambdas[i]
-    return _value(lam), _value(lam * (1.0 + p.m * p.d * p.v_inf**2))
+    return _value(lam), _value(lam * (1.0 + p.m * p.d * _power(p.v_inf, 2)))
 
 
 def j_index(spec: Spectrum, v, i):
@@ -135,7 +146,9 @@ def eigenvalue_bound_rank1(spec: Spectrum, v, i):
     i = np.asarray(i)
     ji = j_index(spec, v, i)
     vinf = float(np.max(np.abs(v)))
-    return _value(spec.lambdas[i] * (1.0 + (spec.d - i) * vinf * np.abs(v[ji])))
+    # past the double range the bound is +inf, vacuous like a saturated C_m
+    with np.errstate(over="ignore"):
+        return _value(spec.lambdas[i] * (1.0 + (spec.d - i) * vinf * np.abs(v[ji])))
 
 
 def psi(rho: float, w: float) -> float:
@@ -163,7 +176,7 @@ def psi_inf(w):
 def eigvec_bound_rank1(spec: Spectrum, p: BoundParams, i, j):
     """min(1, 5 d^2 V^4 alpha(lambda_i, lambda_j)): the m = 1 coordinate bound."""
     a = alpha(spec.lambdas[i], spec.lambdas[j])
-    return _value(np.minimum(1.0, 5.0 * p.d**2 * p.v_bound**4 * a))
+    return _value(np.minimum(1.0, 5.0 * p.d**2 * _power(p.v_bound, 4) * a))
 
 
 def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
@@ -175,7 +188,7 @@ def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
     """
     lami, lamj = spec.lambdas[i], spec.lambdas[j]
     mx, mn = np.maximum(lami, lamj), np.minimum(lami, lamj)
-    v2 = p.v_bound**2
+    v2 = _power(p.v_bound, 2)
     applicable = mx > (1.0 + p.d * v2) * mn
     r = mn / mx
     w = (p.d - i) * v2
@@ -193,8 +206,8 @@ def cm_constant(p: BoundParams) -> float:
     than wrapping, which makes the resulting bound explicitly vacuous.
     """
     d = float(p.d)
-    v4 = p.v_bound**4
-    v2 = p.v_bound**2
+    v4 = _power(p.v_bound, 4)
+    v2 = _power(p.v_bound, 2)
     c = 1.0
     for k in range(p.m):
         c5 = c * c * c * c * c

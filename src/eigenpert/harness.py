@@ -118,22 +118,36 @@ def gen_instance(d: int, m: int, lambda1: float, seed: int) -> Instance:
     lambda_j = lambda_1^((d-j)/(d-1)) for 1-based j, i.e. log-uniformly spaced
     with lambda_d = 1.  Vector streams do not depend on lambda_1.
     """
+    _, instance = _grid_recipe(d, m, seed)
+    return instance(lambda1)
+
+
+def _grid_recipe(d: int, m: int, seed: int) -> tuple:
+    """The lambda_1-free part of `gen_instance`, drawn once.
+
+    Returns the seeded PerturbationSet and a function from lambda_1 to the
+    Instance at that condition number; every such Instance shares the one
+    PerturbationSet.
+    """
     if d < 2:
         raise ValueError(f"d must be >= 2 (the ratio grid is undefined at d={d})")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if lambda1 < 1.0:
-        raise ValueError(f"lambda1 must be >= 1, got {lambda1}")
     expo = np.array([(d - 1 - j) / (d - 1) for j in range(d)])
-    spectrum = Spectrum(lambda1**expo)
     vectors = tuple(gaussian_vector(d, derive_seed(seed, d, m, k)) for k in range(m))
     perts = PerturbationSet(vectors, dim=d)
-    return Instance(
-        spectrum=spectrum,
-        perts=perts,
-        seed=seed,
-        meta=f"grid(d={d},m={m},lambda1={lambda1!r})",
-    )
+
+    def instance(lambda1: float) -> Instance:
+        if lambda1 < 1.0:
+            raise ValueError(f"lambda1 must be >= 1, got {lambda1}")
+        return Instance(
+            spectrum=Spectrum(lambda1**expo),
+            perts=perts,
+            seed=seed,
+            meta=f"grid(d={d},m={m},lambda1={lambda1!r})",
+        )
+
+    return perts, instance
 
 
 def gen_rankone_instance(seed: int) -> Instance:
@@ -364,7 +378,9 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
     """Sample |[e_1]_j| over a lambda_1 grid with a shared Gaussian realization.
 
     `j` is 1-based (2 <= j <= d).  The grid must be ascending with every
-    value >= 1.  Records come back in grid order.
+    value >= 1.  Records come back in grid order.  The realization and the
+    bound parameters are built once; each grid point builds only its
+    spectrum and diagonalizes.
     """
     grid = [float(x) for x in lambda1_grid]
     if not grid:
@@ -376,11 +392,12 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
     if not 2 <= j <= d:
         raise ValueError(f"j must lie in 2..d={d}, got {j}")
 
+    perts, instance = _grid_recipe(d, m, seed)
+    params = bnd.BoundParams.from_perturbations(perts)
     records = []
     for lam1 in grid:
-        inst = gen_instance(d, m, lam1, seed)
+        inst = instance(lam1)
         eig = _oracle(inst)
-        params = bnd.BoundParams.from_perturbations(inst.perts)
         b8 = (
             bnd.eigvec_bound_rank1(inst.spectrum, params, 0, j - 1)
             if m == 1

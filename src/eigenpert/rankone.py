@@ -286,7 +286,8 @@ def _check_interlacing(u: RankOneUpdate, sol: SecularSolution) -> None:
     """Cheap post-solve sanity: lambda_i <= nu_i <= lambda_i (1 + d*vinf^2)."""
     lam = u.spectrum.lambdas
     v = u.z / np.sqrt(lam)
-    vinf2 = float(np.max(v * v)) if v.size else 0.0
+    vinf = float(np.max(np.abs(v))) if v.size else 0.0
+    vinf2 = vinf * vinf  # +inf past the double range, without a numpy warning
     d = u.spectrum.d
     slack = 1e-9 * lam
     if np.any(sol.values < lam - slack) or np.any(

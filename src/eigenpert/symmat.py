@@ -65,13 +65,14 @@ class Spectrum:
         arr = np.array(self.lambdas, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("spectrum must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("spectrum entries must be finite")
-        if not np.all(arr > 0.0):
+        if not (arr > 0.0).all():
             bad = int(np.argmin(arr))
             raise ValueError(f"spectrum entries must be positive; lambda[{bad}] = {arr[bad]}")
-        if np.any(np.diff(arr) > 0.0):
-            bad = int(np.argmax(np.diff(arr) > 0.0))
+        rises = arr[1:] > arr[:-1]
+        if rises.any():
+            bad = int(np.argmax(rises))
             raise ValueError(f"spectrum must be non-increasing; violated at index {bad}")
         arr.flags.writeable = False
         object.__setattr__(self, "lambdas", arr)
@@ -132,7 +133,7 @@ class PerturbationSet:
         """Raw max_k ||v_k||_inf (0 when m = 0)."""
         if not self.vectors:
             return 0.0
-        return float(max(np.max(np.abs(v)) for v in self.vectors))
+        return float(np.abs(self.vectors).max())
 
     @property
     def v_bound(self) -> float:
@@ -256,7 +257,7 @@ def factor_eig(f: np.ndarray) -> EigenDecomposition:
     work = np.array(f, dtype=np.float64, order="C")
     if work.ndim != 2 or not 1 <= work.shape[0] <= work.shape[1]:
         raise ValueError(f"the factor must be d x n with n >= d >= 1, got shape {work.shape}")
-    if not np.all(np.isfinite(work)):
+    if not np.isfinite(work).all():
         raise ConvergenceError("the factor has a non-finite entry")
     d, n = work.shape
     sva, stat, istat = np.empty(d), np.empty(7), np.empty(3, dtype=np.int64)
@@ -271,7 +272,7 @@ def factor_eig(f: np.ndarray) -> EigenDecomposition:
     with np.errstate(over="ignore"):
         sigma = stat[0] / stat[1] * sva  # dgejsv's factored form of the singular values
         vals = sigma * sigma
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         message = f"an eigenvalue overflows: singular value {float(sigma[0])!r} squared"
         raise ConvergenceError(message)
     order = np.argsort(-vals, kind="stable")

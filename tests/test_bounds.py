@@ -334,6 +334,17 @@ class TestCmConstant:
         spec = Spectrum([1e8, 1.0])
         assert bnd.eigvec_bound_rankm(spec, params(2, 50, 1.0), 0, 1) == 1.0
 
+    def test_overflowing_v_bound_saturates(self):
+        # V^2 = 1e400 and V^4 lie past the double range: the bounds they
+        # enter are vacuous (+inf, or capped at 1), not an OverflowError
+        p = params(2, 1, 1e200)
+        spec = Spectrum([1.0, 1e-300])
+        assert math.isinf(bnd.cm_constant(p))
+        assert bnd.eigenvalue_bound_rankm(spec, p, 0) == (1.0, math.inf)
+        assert bnd.eigvec_bound_rank1(spec, p, 0, 1) == 1.0
+        assert bnd.eigvec_bound_rank1_refined(spec, p, 0, 1) == 1.0
+        assert bnd.eigvec_bound_rankm(spec, p, 0, 1) == 1.0
+
 
 class TestBoundParams:
     def test_floor_enforced(self):

@@ -317,6 +317,24 @@ class TestNumericalFailure:
         assert len(lines) == 1 and lines[0].startswith("error: cannot bind nope from ")
         assert symmat.OPENBLAS_GLOB.split("*")[0] in lines[0]
 
+    @pytest.mark.parametrize(
+        "args", [["bounds"], ["eig", "--method", "secular"]], ids=["bounds", "eig-secular"]
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_vector_norm_is_vacuous(self, capsys, tmp_path, args):
+        # ||v||_inf^2 = 1e400 lies past the double range, while A does not:
+        # the bounds it enters are +inf or capped at 1, without a warning
+        f = tmp_path / "instance.txt"
+        f.write_text("lambdas = [1.0, 1e-300]\nvector = [1.0, 1e200]\n")
+        assert cli.main([args[0], str(f), *args[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if args[0] == "bounds":
+            assert "  1  1e+100  1  inf  inf  ok\n" in captured.out
+            assert captured.out.endswith("overall: PASS\n")
+        else:
+            assert eig_values(captured.out) == [1e100, 1.0]
+
     def test_overflowing_diagonal_still_passes(self, capsys):
         # with m = 0 the matrix is diagonal: nothing to rotate, nothing to refuse
         argv = ["verify", "--d", "3", "--m", "0", "--lambda1-list", "1e300", "--seeds", "1"]

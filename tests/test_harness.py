@@ -262,6 +262,47 @@ class TestScan:
             harness.scan(2, 1, 2, [0.5, 2.0], seed=0)
         with pytest.raises(ValueError, match="j must lie"):
             harness.scan(3, 1, 4, [1e2, 1e4], seed=0)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            harness.scan(3, -1, 2, [1e2, 1e4], seed=0)
+
+    @pytest.mark.parametrize("d", [2, 10, 30])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_records_match_per_point_reference(self, d, m):
+        # each record equals the one built from a fresh instance at its grid
+        # point, every float bit for bit (repr round-trips a double exactly
+        # and keeps nan comparable)
+        grid = np.logspace(0, 12, 7)
+        for j in sorted({2, d}):
+            records = harness.scan(d, m, j, grid, seed=5)
+            assert len(records) == len(grid)
+            for rec, lam1 in zip(records, grid.tolist()):
+                inst = harness.gen_instance(d, m, lam1, 5)
+                eig = harness._oracle(inst)
+                params = bnd.BoundParams.from_perturbations(inst.perts)
+                expected = harness.ScanRecord(
+                    d=d, m=m, j=j, lambda1=lam1,
+                    ratio=lam1 / float(inst.spectrum.lambdas[j - 1]),
+                    observed=abs(float(eig.basis[j - 1, 0])),
+                    bound_rankm=bnd.eigvec_bound_rankm(inst.spectrum, params, 0, j - 1),
+                    bound_rank1=(
+                        bnd.eigvec_bound_rank1(inst.spectrum, params, 0, j - 1)
+                        if m == 1 else math.nan
+                    ),
+                    seed=5,
+                )
+                assert repr(rec) == repr(expected)
+
+    def test_realization_drawn_once_per_scan(self, monkeypatch):
+        seeds = []
+        draw = harness.gaussian_vector
+
+        def counted(d, seed):
+            seeds.append(seed)
+            return draw(d, seed)
+
+        monkeypatch.setattr(harness, "gaussian_vector", counted)
+        harness.scan(5, 2, 5, np.logspace(2, 8, 7), seed=3)
+        assert len(seeds) == 2
 
 
 class TestFitSlope:
