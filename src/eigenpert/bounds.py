@@ -94,9 +94,13 @@ class BoundParams:
 
 
 def eigenvalue_bound_rankm(spec: Spectrum, p: BoundParams, i) -> tuple:
-    """Interval [lambda_i, lambda_i (1 + m d v_inf^2)] certain to contain nu_i."""
+    """Interval [lambda_i, lambda_i (1 + m d v_inf^2)] certain to contain nu_i.
+
+    The upper end is +inf past the double range (vacuous, like a saturated C_m).
+    """
     lam = spec.lambdas[i]
-    return _value(lam), _value(lam * (1.0 + p.m * p.d * _power(p.v_inf, 2)))
+    with np.errstate(over="ignore"):
+        return _value(lam), _value(lam * (1.0 + p.m * p.d * _power(p.v_inf, 2)))
 
 
 def j_index(spec: Spectrum, v, i):
@@ -114,18 +118,18 @@ def j_index(spec: Spectrum, v, i):
     v = np.asarray(v, dtype=float)
     i = np.asarray(i)
     out_of_range = (i < 0) | (i >= d)
-    if np.any(out_of_range):
+    if out_of_range.any():
         raise IndexError(f"index {i[out_of_range].flat[0]} out of range for d={d}")
     if not spec.is_strict:
         raise JIndexError(
             "spectrum has repeated eigenvalues; use the rank-m eigenvalue bound"
         )
-    if np.any(v == 0.0):
+    if (v == 0.0).any():
         raise JIndexError(
             "perturbation vector has zero entries; use the rank-m eigenvalue bound"
         )
     mag = np.abs(v)
-    vinf = float(np.max(mag))
+    vinf = float(mag.max())
     lam_i = lam[i][..., None]
     tail = (d - i)[..., None]
     # lambda_j / lambda_i may overflow in the columns j < i, which the mask drops
@@ -145,7 +149,7 @@ def eigenvalue_bound_rank1(spec: Spectrum, v, i):
     v = np.asarray(v, dtype=float)
     i = np.asarray(i)
     ji = j_index(spec, v, i)
-    vinf = float(np.max(np.abs(v)))
+    vinf = float(np.abs(v).max())
     # past the double range the bound is +inf, vacuous like a saturated C_m
     with np.errstate(over="ignore"):
         return _value(spec.lambdas[i] * (1.0 + (spec.d - i) * vinf * np.abs(v[ji])))
@@ -165,18 +169,28 @@ def psi_inf(w):
 
     The decreasing branch 2w/rho meets the increasing branch
     2(1-rho)^{-1/2} at rho* = 2w / (w + sqrt(w^2 + 4)), where both equal
-    w + sqrt(w^2 + 4).
+    w + sqrt(w^2 + 4).  It is +inf where w^2 overflows.
     """
     w = np.asarray(w, dtype=float)
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ValueError(f"w must be positive, got {w}")
-    return _value(w + np.sqrt(w * w + 4.0))
+    with np.errstate(over="ignore"):
+        return _value(w + np.sqrt(w * w + 4.0))
+
+
+def _capped(c: float, a):
+    """min(1, c a) for a constant c >= 0 and alpha values a in [0, 1].
+
+    A constant that overflowed to +inf makes the bound vacuous: 1, also where
+    alpha underflowed to 0 (where inf * 0 would give nan).
+    """
+    return _value(np.minimum(1.0, c * a) if c < math.inf else np.ones_like(a))
 
 
 def eigvec_bound_rank1(spec: Spectrum, p: BoundParams, i, j):
     """min(1, 5 d^2 V^4 alpha(lambda_i, lambda_j)): the m = 1 coordinate bound."""
     a = alpha(spec.lambdas[i], spec.lambdas[j])
-    return _value(np.minimum(1.0, 5.0 * p.d**2 * _power(p.v_bound, 4) * a))
+    return _capped(5.0 * p.d**2 * _power(p.v_bound, 4), a)
 
 
 def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
@@ -184,18 +198,21 @@ def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
     exceeds 1 + d V^2; returns the trivial bound 1 otherwise.
 
     Also capped at 1: a unit-vector coordinate never exceeds 1, and the raw
-    expression blows up towards the applicability boundary.
+    expression blows up towards the applicability boundary.  Where its
+    constant w psi_inf(w) overflows, the bound is the vacuous 1.
     """
     lami, lamj = spec.lambdas[i], spec.lambdas[j]
     mx, mn = np.maximum(lami, lamj), np.minimum(lami, lamj)
     v2 = _power(p.v_bound, 2)
-    applicable = mx > (1.0 + p.d * v2) * mn
-    r = mn / mx
-    w = (p.d - i) * v2
-    # outside the regime the denominator may vanish; those entries are masked
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = w * psi_inf(w) / (1.0 - (1.0 + w) * r) * np.sqrt(r)
-    return _value(np.where(applicable, np.minimum(1.0, value), 1.0))
+    # outside the regime the denominator may vanish, and past the double
+    # range the constants overflow; the mask below drops both
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        applicable = mx > (1.0 + p.d * v2) * mn
+        r = mn / mx
+        w = (p.d - i) * v2
+        k = w * psi_inf(w)
+        value = k / (1.0 - (1.0 + w) * r) * np.sqrt(r)
+    return _value(np.where(applicable & (k < math.inf), np.minimum(1.0, value), 1.0))
 
 
 def cm_constant(p: BoundParams) -> float:
@@ -218,13 +235,14 @@ def cm_constant(p: BoundParams) -> float:
     return c
 
 
-def eigvec_bound_rankm(spec: Spectrum, p: BoundParams, i, j):
+def eigvec_bound_rankm(spec: Spectrum, p: BoundParams, i, j, cm: float | None = None):
     """min(1, C_m alpha(lambda_i, lambda_j)): coordinate bound for any m >= 0.
 
-    A saturated C_m = inf gives the trivial bound 1 (alpha is positive).
+    `cm` is `cm_constant(p)` when the caller has it already.  A saturated
+    C_m = inf gives the trivial bound 1.
     """
     a = alpha(spec.lambdas[i], spec.lambdas[j])
-    return _value(np.minimum(1.0, cm_constant(p) * a))
+    return _capped(cm_constant(p) if cm is None else cm, a)
 
 
 class BoundEntry(NamedTuple):
@@ -244,16 +262,20 @@ class BoundEntry(NamedTuple):
     side: str = "upper"
 
 
-# One record per BoundEntry, fields in the same order.
+# One record per BoundEntry, fields in the same order.  Its scalar type is
+# np.record, the type a recarray view needs, so the view converts nothing.
 ENTRY_DTYPE = np.dtype(
-    [
-        ("i", np.int64),
-        ("j", np.int64),
-        ("observed", np.float64),
-        ("bound", np.float64),
-        ("slack", np.float64),
-        ("side", "U5"),
-    ]
+    (
+        np.record,
+        [
+            ("i", np.int64),
+            ("j", np.int64),
+            ("observed", np.float64),
+            ("bound", np.float64),
+            ("slack", np.float64),
+            ("side", "U5"),
+        ],
+    )
 )
 
 REPORT_KINDS = (
@@ -291,20 +313,25 @@ def make_report(kind: str, entries, notes=()) -> BoundReport:
     BoundEntry rows; `passed` applies the pass rule to every entry."""
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
-    entries = np.asarray(entries, dtype=ENTRY_DTYPE).view(np.recarray)
-    passed = bool(np.all(passes(entries.slack, entries.bound)))
-    return BoundReport(kind=kind, entries=entries, passed=passed, notes=tuple(notes))
+    entries = np.asarray(entries, dtype=ENTRY_DTYPE)
+    passed = bool(passes(entries["slack"], entries["bound"]).all())
+    return BoundReport(
+        kind=kind, entries=entries.view(np.recarray), passed=passed, notes=tuple(notes)
+    )
 
 
 def report_from_arrays(kind: str, i, j, observed, bound, side="upper", notes=()) -> BoundReport:
     """One report from parallel arrays: entry k compares observed[k] with
     bound[k] at (i[k], j[k]).  `j` is None for the eigenvalue kinds (stored
     as -1); `side` is one string for every entry or an array of them."""
+    observed = np.asarray(observed, dtype=float)
+    bound = np.asarray(bound, dtype=float)
+    side = np.asarray(side)
     entries = np.empty(len(bound), dtype=ENTRY_DTYPE)
     entries["i"] = i
     entries["j"] = -1 if j is None else j
     entries["observed"] = observed
     entries["bound"] = bound
     entries["side"] = side
-    entries["slack"] = np.where(entries["side"] == "upper", bound - observed, observed - bound)
+    entries["slack"] = np.where(side == "upper", bound - observed, observed - bound)
     return make_report(kind, entries, notes)

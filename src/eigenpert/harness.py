@@ -181,8 +181,14 @@ def _oracle(instance: Instance) -> EigenDecomposition:
     """Eigendecomposition of D + sqrt(D) (sum_k v_k v_k^T) sqrt(D) from its
     factor F = sqrt(D) [I | v_1 ... v_m], without forming the matrix; a
     numerical failure names the instance that caused it."""
-    spec = instance.spectrum
-    f = np.sqrt(spec.lambdas)[:, None] * np.column_stack([np.eye(spec.d), *instance.perts.vectors])
+    d = instance.spectrum.d
+    vectors = instance.perts.vectors
+    n = d + len(vectors)
+    sqrt_l = np.sqrt(instance.spectrum.lambdas)
+    f = np.zeros((d, n))
+    f.ravel()[:: n + 1] = sqrt_l  # the diagonal of the leading d x d block
+    for k, v in enumerate(vectors):
+        np.multiply(sqrt_l, v, out=f[:, d + k])
     try:
         return factor_eig(f)
     except ConvergenceError as exc:
@@ -217,6 +223,9 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
 
     idx = np.arange(d)
     lo, hi = bnd.eigenvalue_bound_rankm(spec, params, idx)
+    sides = np.empty(2 * d, dtype="U5")  # each interval as its (lower, upper) pair
+    sides[0::2] = "lower"
+    sides[1::2] = "upper"
     reports = [
         bnd.report_from_arrays(
             "eigenvalue-rankm",
@@ -224,11 +233,11 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
             None,
             np.repeat(nus, 2),
             np.column_stack([lo, hi]).ravel() * bound_scale,
-            np.tile(["lower", "upper"], d),
+            sides,
         )
     ]
 
-    if m == 1 and spec.is_strict and not np.any(perts.vectors[0] == 0.0):
+    if m == 1 and spec.is_strict and not (perts.vectors[0] == 0.0).any():
         v = perts.vectors[0]
         b6 = bnd.eigenvalue_bound_rank1(spec, v, idx)
         notes = [
@@ -246,7 +255,7 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
     observed = np.abs(eig.basis[j, i])
     cm = bnd.cm_constant(params)
     notes = ["C_m saturated: bound is vacuous (capped at 1)"] if math.isinf(cm) else ()
-    rankm = bnd.eigvec_bound_rankm(spec, params, i, j)
+    rankm = bnd.eigvec_bound_rankm(spec, params, i, j, cm)
     reports.append(
         bnd.report_from_arrays("eigvec-rankm", i, j, observed, rankm * bound_scale, notes=notes)
     )
@@ -278,7 +287,7 @@ def _crosscheck_rankone(instance: Instance, oracle: EigenDecomposition) -> None:
     )
     diff = np.abs(sec.values - oracle.values)
     tol = CROSSCHECK_RTOL * np.maximum(1.0, np.abs(oracle.values))
-    if np.any(diff > tol):
+    if (diff > tol).any():
         i = int(np.argmax(diff - tol))
         raise OracleMismatchError(
             f"secular and Jacobi eigenvalues disagree at index {i}: "
@@ -394,6 +403,7 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
 
     perts, instance = _grid_recipe(d, m, seed)
     params = bnd.BoundParams.from_perturbations(perts)
+    cm = bnd.cm_constant(params)
     records = []
     for lam1 in grid:
         inst = instance(lam1)
@@ -411,7 +421,7 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
                 lambda1=lam1,
                 ratio=lam1 / float(inst.spectrum.lambdas[j - 1]),
                 observed=abs(float(eig.basis[j - 1, 0])),
-                bound_rankm=bnd.eigvec_bound_rankm(inst.spectrum, params, 0, j - 1),
+                bound_rankm=bnd.eigvec_bound_rankm(inst.spectrum, params, 0, j - 1, cm),
                 bound_rank1=b8,
                 seed=seed,
             )

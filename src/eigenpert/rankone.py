@@ -290,14 +290,15 @@ def _check_interlacing(u: RankOneUpdate, sol: SecularSolution) -> None:
     vinf2 = vinf * vinf  # +inf past the double range, without a numpy warning
     d = u.spectrum.d
     slack = 1e-9 * lam
-    if np.any(sol.values < lam - slack) or np.any(
-        sol.values > lam * (1.0 + d * vinf2) + slack
-    ):
-        bad = int(np.argmax((sol.values < lam - slack) | (sol.values > lam * (1.0 + d * vinf2) + slack)))
+    with np.errstate(over="ignore"):  # the upper end is +inf past the double range
+        upper = lam * (1.0 + d * vinf2)
+    outside = (sol.values < lam - slack) | (sol.values > upper + slack)
+    if outside.any():
+        bad = int(np.argmax(outside))
         raise SecularBracketError(
             f"secular root {bad} violates interlacing: nu={float(sol.values[bad])!r} "
             f"lambda={float(lam[bad])!r}",
-            bracket=(float(lam[bad]), float(lam[bad] * (1.0 + d * vinf2))),
+            bracket=(float(lam[bad]), float(upper[bad])),
             residuals=(float(sol.values[bad] - lam[bad]),),
         )
 

@@ -84,7 +84,7 @@ class Spectrum:
     @property
     def is_strict(self) -> bool:
         """True when all eigenvalues are strictly decreasing."""
-        return bool(np.all(np.diff(self.lambdas) < 0.0))
+        return bool((self.lambdas[1:] < self.lambdas[:-1]).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +107,7 @@ class PerturbationSet:
             arr = np.array(v, dtype=float)
             if arr.ndim != 1:
                 raise DimensionMismatchError(f"vector {k} is not 1-D", vector_index=k)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"vector {k} has non-finite entries")
             if d is None:
                 d = int(arr.size)
@@ -177,10 +177,11 @@ class EigenDecomposition:
         d = vals.size
         if bas.shape != (d, d):
             raise ValueError(f"basis shape {bas.shape} does not match {d} eigenvalues")
-        if np.any(np.diff(vals) > 0.0):
+        if (vals[1:] > vals[:-1]).any():
             raise ValueError("eigenvalues must be sorted descending")
-        gram = bas.T @ bas - np.eye(d)
-        resid = float(np.max(np.abs(gram)))
+        gram = bas.T @ bas
+        gram.ravel()[:: d + 1] -= 1.0  # minus the identity
+        resid = float(np.abs(gram, out=gram).max())
         if resid > ORTHONORMALITY_TOL:
             raise ValueError(f"basis is not orthonormal: residual {resid:.3e}")
         vals.flags.writeable = False
@@ -198,7 +199,7 @@ def apply_sign_convention(basis: np.ndarray) -> np.ndarray:
     out = np.array(basis, dtype=float)
     # argmax finds the first entry above the tolerance; in a column with none
     # it lands on an entry with |x| <= 1e-12, which never asks for a flip
-    lead = np.argmax(np.abs(out) > SIGN_PIVOT_TOL, axis=0)
+    lead = (np.abs(out) > SIGN_PIVOT_TOL).argmax(axis=0)
     flip = out[lead, np.arange(out.shape[1])] < -SIGN_PIVOT_TOL
     out[:, flip] = -out[:, flip]
     return out

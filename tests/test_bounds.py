@@ -345,6 +345,33 @@ class TestCmConstant:
         assert bnd.eigvec_bound_rank1_refined(spec, p, 0, 1) == 1.0
         assert bnd.eigvec_bound_rankm(spec, p, 0, 1) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_constant_with_underflowed_alpha_is_one(self):
+        # alpha(1e300, 1e-300) underflows to 0; each constant below overflows
+        # to inf (C_m; 5 d^2 V^4; w psi_inf(w)), and inf * 0 must not be nan
+        spec = Spectrum([1e300, 1e-300])
+        assert bnd.alpha(1e300, 1e-300) == 0.0
+        i, j = np.divmod(np.arange(4), 2)
+        saturated = params(2, 4, 1.0)
+        assert math.isinf(bnd.cm_constant(saturated))
+        assert bnd.eigvec_bound_rankm(spec, saturated, 0, 1) == 1.0
+        assert bnd.eigvec_bound_rankm(spec, saturated, i, j).tolist() == [1.0] * 4
+        huge = params(2, 1, 1e100)
+        for bound in (bnd.eigvec_bound_rank1, bnd.eigvec_bound_rank1_refined,
+                      bnd.eigvec_bound_rankm):
+            assert bound(spec, huge, 1, 0) == 1.0
+            assert bound(spec, huge, i, j).tolist() == [1.0] * 4
+
+    def test_rankm_takes_a_precomputed_constant(self):
+        spec = Spectrum([1e14, 1e9, 3e3, 40.0, 2.0, 1.0])
+        i, j = np.divmod(np.arange(36), 6)
+        for p in (params(6, 1, 0.9), params(6, 2, 0.5), params(6, 9, 2.0)):
+            cm = bnd.cm_constant(p)
+            assert bnd.eigvec_bound_rankm(spec, p, i, j, cm).tobytes() == (
+                bnd.eigvec_bound_rankm(spec, p, i, j).tobytes()
+            )
+            assert bnd.eigvec_bound_rankm(spec, p, 2, 5, cm) == bnd.eigvec_bound_rankm(spec, p, 2, 5)
+
 
 class TestBoundParams:
     def test_floor_enforced(self):
@@ -407,6 +434,21 @@ class TestReports:
         assert e.bound.tolist() == [4.0, 6.0]
         assert e.slack.tolist() == [1.0, 1.0]
         assert e.side.tolist() == ["lower", "upper"]
+
+    @pytest.mark.parametrize(
+        "side",
+        ["upper", "lower", np.array(["lower", "upper", "upper", "lower", "upper"])],
+        ids=["upper", "lower", "array"],
+    )
+    def test_slack_matches_side_field_formula(self, side):
+        # the slack, computed from the input arrays, equals the formula on the
+        # record's side field bit for bit (signed zeros included)
+        observed = np.array([0.5, 1.0, 0.25, 3.0, 1e-300])
+        bound = np.array([0.75, 1.0, 0.125, 2.0, 0.0])
+        e = bnd.report_from_arrays("eigenvalue-rankm", np.arange(5), None, observed, bound, side).entries
+        expected = np.where(e["side"] == "upper", bound - observed, observed - bound)
+        assert e["slack"].tobytes() == expected.tobytes()
+        assert e["side"].tolist() == np.broadcast_to(side, 5).tolist()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

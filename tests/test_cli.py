@@ -335,6 +335,82 @@ class TestNumericalFailure:
         else:
             assert eig_values(captured.out) == [1e100, 1.0]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "lambdas = [1e300, 1e-300]\nvector = [1.0, 1.0]\nvector = [1.0, -1.0]\n"
+            "vector = [0.5, 1.0]\nvector = [1.0, 0.5]\n",
+            "lambdas = [1e300, 1e-300]\nvector = [1e-100, 1e100]\n",
+        ],
+        ids=["saturated-cm", "overflowing-v4"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_constant_caps_at_one(self, capsys, tmp_path, text):
+        # alpha(1e300, 1e-300) underflows to 0, and the constant it multiplies
+        # (C_m, 5 d^2 V^4 or w psi_inf(w)) overflowed to inf: the bound is the
+        # vacuous 1, where inf * 0 would give nan and a failed entry
+        f = tmp_path / "instance.txt"
+        f.write_text(text)
+        assert cli.main(["bounds", str(f)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = captured.out.split("eigenvector coordinates:\n")[1].splitlines()[1:5]
+        for row in rows:
+            cells = row.split()
+            assert set(cells[3:6]) <= {"1", "-"} and cells[6] == "ok", row
+        assert captured.out.endswith("overall: PASS\n")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "lambdas = [1e200, 1.0]\nvector = [1e-90, 1e90]\n",
+                "instance: d=2 m=1 V=1e+90 v_inf=1e+90 C_m=inf\n"
+                "eigenvalues:\n"
+                "  i  nu_i  interval_lo  interval_hi  bound_rank1  pass\n"
+                "  1  1e+200  1e+200  inf  inf  ok\n"
+                "  2  1e+180  1  2e+180  1e+180  ok\n"
+                "eigenvector coordinates:\n"
+                "  i  j  observed  bound_rank1  bound_refined  bound_rankm  pass\n"
+                "  1  1  1  1  1  1  ok\n"
+                "  1  2  1e-100  1  1  1  ok\n"
+                "  2  1  0  1  1  1  ok\n"
+                "  2  2  1  1  1  1  ok\n"
+                "note (eigenvalue-rank1): refinement wins at i=1: 1e+180 < 2e+180\n"
+                "note (eigvec-rankm): C_m saturated: bound is vacuous (capped at 1)\n"
+                "overall: PASS\n",
+            ),
+            (
+                "lambdas = [1.0, 1e-300]\nvector = [1.0, 1e150]\n",
+                "instance: d=2 m=1 V=1e+150 v_inf=1e+150 C_m=inf\n"
+                "eigenvalues:\n"
+                "  i  nu_i  interval_lo  interval_hi  bound_rank1  pass\n"
+                "  1  2.6180339887499  1  2e+300  2e+300  ok\n"
+                "  2  0.381966011250105  1e-300  2  1  ok\n"
+                "eigenvector coordinates:\n"
+                "  i  j  observed  bound_rank1  bound_refined  bound_rankm  pass\n"
+                "  1  1  0.85065080835204  1  1  1  ok\n"
+                "  1  2  0.525731112119134  1  1  1  ok\n"
+                "  2  1  0.525731112119134  1  1  1  ok\n"
+                "  2  2  0.85065080835204  1  1  1  ok\n"
+                "note (eigenvalue-rank1): refinement wins at i=1: 1 < 2\n"
+                "note (eigvec-rankm): C_m saturated: bound is vacuous (capped at 1)\n"
+                "overall: PASS\n",
+            ),
+        ],
+        ids=["interval-overflow", "psi-inf-overflow"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_intermediates_pass_silently(self, capsys, tmp_path, text, expected):
+        # lambda_1 (1 + d V^2), (1 + d V^2) lambda_j and w^2 overflow to inf in
+        # entries that pass; the output is the same, without a numpy warning
+        f = tmp_path / "instance.txt"
+        f.write_text(text)
+        assert cli.main(["bounds", str(f)]) == 0
+        assert capsys.readouterr() == (expected, "")
+        assert cli.main(["eig", str(f), "--method", "secular"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_overflowing_diagonal_still_passes(self, capsys):
         # with m = 0 the matrix is diagonal: nothing to rotate, nothing to refuse
         argv = ["verify", "--d", "3", "--m", "0", "--lambda1-list", "1e300", "--seeds", "1"]

@@ -212,6 +212,34 @@ class TestCertify:
         assert rep.passed
         assert any("vacuous" in note for note in rep.notes)
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_cm_constant_once_per_instance(self, monkeypatch, m):
+        calls = []
+        cm_constant = bnd.cm_constant
+        monkeypatch.setattr(bnd, "cm_constant", lambda p: calls.append(p) or cm_constant(p))
+        harness.certify(harness.gen_instance(5, m, 1e4, seed=1))
+        assert len(calls) == 1
+
+    def test_certify_grid_bytes_pinned(self):
+        # sha256 of every default-grid report (entry bytes, verdict, notes)
+        # and of the records of 27 scans; a change to how the reports or
+        # records are computed must leave every bit where it was
+        reports = hashlib.sha256()
+        for pt in harness.default_grid():
+            for rep in harness.certify(harness.gen_instance(pt.d, pt.m, pt.lambda1, pt.seed)):
+                reports.update(rep.kind.encode() + rep.entries.tobytes())
+                reports.update(repr((rep.passed, rep.notes)).encode())
+        scans = hashlib.sha256()
+        grid = np.logspace(0.0, 16.0, 9)
+        for d in (2, 3, 5, 10, 30):
+            for m in (0, 1, 2):
+                for j in sorted({2, d}):
+                    scans.update(repr(harness.scan(d, m, j, grid, seed=7)).encode())
+        assert [reports.hexdigest(), scans.hexdigest()] == [
+            "e239110dc1d70a8dde99687e13cf1e1f1ad3b8823d2191ea62bb89875ed4d3b5",
+            "c376b99150d347dad7d74b375e5daf9db2365996a2d344c15901febfd712f716",
+        ]
+
 
 class TestScan:
     def test_monotone_decreasing_observed(self):

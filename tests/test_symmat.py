@@ -124,6 +124,24 @@ class TestTypes:
         with pytest.raises(ValueError, match="orthonormal"):
             EigenDecomposition(np.array([2.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "values, basis, message",
+        [
+            ([1.0, 2.0], np.eye(2), "eigenvalues must be sorted descending"),
+            ([3.0, 2.0, 2.0, 2.5], np.eye(4), "eigenvalues must be sorted descending"),
+            # gram - I = [[0, 1], [1, 1]]
+            ([2.0, 1.0], [[1.0, 1.0], [0.0, 1.0]], "basis is not orthonormal: residual 1.000e+00"),
+            ([2.0, 1.0], [[1.0, 0.0], [0.0, 1.0 + 3e-10]],
+             "basis is not orthonormal: residual 6.000e-10"),
+            ([2.0, 1.0], np.eye(3)[:2], "basis shape (2, 3) does not match 2 eigenvalues"),
+        ],
+        ids=["unsorted", "unsorted-tail", "not-orthonormal", "diagonal-residual", "shape"],
+    )
+    def test_eigendecomposition_error_messages(self, values, basis, message):
+        with pytest.raises(ValueError) as err:
+            EigenDecomposition(np.array(values), np.array(basis))
+        assert str(err.value) == message
+
     def test_sign_convention(self):
         b = np.array([[-0.6, 0.8], [-0.8, -0.6]])
         fixed = apply_sign_convention(b)
