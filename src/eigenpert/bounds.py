@@ -14,7 +14,7 @@ arguments give Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -65,13 +65,15 @@ class BoundParams:
 
     `v_bound` is floored at 1/sqrt(d) (used by the eigenvector bounds);
     `v_inf` is the raw max infinity norm (used by the rank-m eigenvalue
-    interval, which is stated without the floor).
+    interval, which is stated without the floor).  `cm` is the rank-m
+    eigenvector constant `cm_constant` of these parameters.
     """
 
     d: int
     m: int
     v_bound: float
     v_inf: float
+    cm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -85,6 +87,7 @@ class BoundParams:
             )
         if self.v_inf < 0.0:
             raise ValueError("v_inf must be non-negative")
+        object.__setattr__(self, "cm", cm_constant(self))
 
     @classmethod
     def from_perturbations(cls, perts: PerturbationSet) -> "BoundParams":
@@ -235,14 +238,13 @@ def cm_constant(p: BoundParams) -> float:
     return c
 
 
-def eigvec_bound_rankm(spec: Spectrum, p: BoundParams, i, j, cm: float | None = None):
+def eigvec_bound_rankm(spec: Spectrum, p: BoundParams, i, j):
     """min(1, C_m alpha(lambda_i, lambda_j)): coordinate bound for any m >= 0.
 
-    `cm` is `cm_constant(p)` when the caller has it already.  A saturated
-    C_m = inf gives the trivial bound 1.
+    A saturated C_m = inf gives the trivial bound 1.
     """
     a = alpha(spec.lambdas[i], spec.lambdas[j])
-    return _capped(cm_constant(p) if cm is None else cm, a)
+    return _capped(p.cm, a)
 
 
 class BoundEntry(NamedTuple):

@@ -243,7 +243,6 @@ def cmd_bounds(args) -> int:
     reports = harness.certify(inst)
     by_kind = {r.kind: r for r in reports}
     params = bnd.BoundParams.from_perturbations(inst.perts)
-    cm = bnd.cm_constant(params)
 
     if args.csv:
         try:
@@ -255,7 +254,7 @@ def cmd_bounds(args) -> int:
 
     print(
         f"instance: d={inst.d} m={inst.m} V={_fmt(params.v_bound)} "
-        f"v_inf={_fmt(params.v_inf)} C_m={_fmt(cm)}"
+        f"v_inf={_fmt(params.v_inf)} C_m={_fmt(params.cm)}"
     )
     # certify lists eigenvalue-rankm as (lower, upper) pairs in index order,
     # and every eigenvector kind over the same row-major (i, j) grid

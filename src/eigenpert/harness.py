@@ -187,8 +187,9 @@ def _oracle(instance: Instance) -> EigenDecomposition:
     sqrt_l = np.sqrt(instance.spectrum.lambdas)
     f = np.zeros((d, n))
     f.ravel()[:: n + 1] = sqrt_l  # the diagonal of the leading d x d block
-    for k, v in enumerate(vectors):
-        np.multiply(sqrt_l, v, out=f[:, d + k])
+    with np.errstate(over="ignore"):  # factor_eig refuses a non-finite factor
+        for k, v in enumerate(vectors):
+            np.multiply(sqrt_l, v, out=f[:, d + k])
     try:
         return factor_eig(f)
     except ConvergenceError as exc:
@@ -253,9 +254,8 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
     # eigenvector kinds: row-major (i, j) pairs, observed |[e_i]_j|
     i, j = np.divmod(np.arange(d * d), d)
     observed = np.abs(eig.basis[j, i])
-    cm = bnd.cm_constant(params)
-    notes = ["C_m saturated: bound is vacuous (capped at 1)"] if math.isinf(cm) else ()
-    rankm = bnd.eigvec_bound_rankm(spec, params, i, j, cm)
+    notes = ["C_m saturated: bound is vacuous (capped at 1)"] if math.isinf(params.cm) else ()
+    rankm = bnd.eigvec_bound_rankm(spec, params, i, j)
     reports.append(
         bnd.report_from_arrays("eigvec-rankm", i, j, observed, rankm * bound_scale, notes=notes)
     )
@@ -403,7 +403,6 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
 
     perts, instance = _grid_recipe(d, m, seed)
     params = bnd.BoundParams.from_perturbations(perts)
-    cm = bnd.cm_constant(params)
     records = []
     for lam1 in grid:
         inst = instance(lam1)
@@ -421,7 +420,7 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
                 lambda1=lam1,
                 ratio=lam1 / float(inst.spectrum.lambdas[j - 1]),
                 observed=abs(float(eig.basis[j - 1, 0])),
-                bound_rankm=bnd.eigvec_bound_rankm(inst.spectrum, params, 0, j - 1, cm),
+                bound_rankm=bnd.eigvec_bound_rankm(inst.spectrum, params, 0, j - 1),
                 bound_rank1=b8,
                 seed=seed,
             )

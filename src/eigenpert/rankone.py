@@ -72,9 +72,19 @@ class RankOneUpdate:
 
     @classmethod
     def from_direction(cls, spectrum: Spectrum, v) -> "RankOneUpdate":
-        """Build z = sqrt(D) v, the update produced by direction v."""
+        """Build z = sqrt(D) v, the update produced by direction v.
+
+        A z entry past the double range makes an eigenvalue overflow
+        (nu_1 >= ||z||^2), which raises ConvergenceError.
+        """
         v = np.asarray(v, dtype=float)
-        return cls(spectrum, np.sqrt(spectrum.lambdas) * v)
+        with np.errstate(over="ignore"):
+            z = np.sqrt(spectrum.lambdas) * v
+        if not np.isfinite(z).all():
+            raise ConvergenceError(
+                "an eigenvalue overflows: z = sqrt(lambda) v exceeds the double range"
+            )
+        return cls(spectrum, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,15 +253,9 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
     hi = np.zeros(n)
     if n:
         hi[0] = _top_bracket(la, w, total)
-    gaps = la[:-1] - la[1:]
-    if np.any(gaps <= 0.0):
-        i = int(np.argmax(gaps <= 0.0)) + 1
-        raise SecularBracketError(
-            f"active eigenvalues {i - 1} and {i} are not separated",
-            bracket=(float(la[i]), float(la[i - 1])),
-            residuals=(float("nan"), float("nan")),
-        )
-    half = 0.5 * gaps
+    # every gap is positive: the collision pass kept each active coordinate
+    # only where this same difference exceeded LAMBDA_COLLISION_RTOL * lambda >= 0
+    half = 0.5 * (la[:-1] - la[1:])
     g_mid = 1.0 + (w / ((la - la[1:, None]) - half[:, None])).sum(axis=1)
     # g < 0 at the midpoint: the root is in the upper half, anchored at
     # lambda_{i-1} with mu negative; otherwise anchored at lambda_i

@@ -12,7 +12,6 @@ eigenvalues and 1e-13 on |[e_1]_j| against mpmath up to lambda_1 = 1e60.
 from __future__ import annotations
 
 import ctypes
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,13 +88,7 @@ class Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationSet:
-    """The rank-one directions v_1..v_m and the derived bound parameter.
-
-    `v_bound` is max(1/sqrt(d), max_k ||v_k||_inf): the infinity norm floored
-    at 1/sqrt(d), which is the constant the eigenvector bounds are stated
-    with.  `v_inf` is the raw (unfloored) max infinity norm used by the
-    rank-m eigenvalue interval.
-    """
+    """The rank-one directions v_1..v_m and their max infinity norm `v_inf`."""
 
     vectors: tuple
     dim: int | None = None
@@ -134,11 +127,6 @@ class PerturbationSet:
         if not self.vectors:
             return 0.0
         return float(np.abs(self.vectors).max())
-
-    @property
-    def v_bound(self) -> float:
-        """max(1/sqrt(d), v_inf)."""
-        return max(1.0 / math.sqrt(self.dim), self.v_inf)
 
 
 @dataclass(frozen=True, eq=False)

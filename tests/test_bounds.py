@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -362,15 +363,27 @@ class TestCmConstant:
             assert bound(spec, huge, 1, 0) == 1.0
             assert bound(spec, huge, i, j).tolist() == [1.0] * 4
 
-    def test_rankm_takes_a_precomputed_constant(self):
+    def test_params_carry_the_constant(self):
+        # BoundParams.cm is cm_constant of the same parameters, bit for bit,
+        # finite or saturated; the rank-m bound reads it and its bytes are
+        # the ones it gave when C_m was computed per call (sha256 pinned)
         spec = Spectrum([1e14, 1e9, 3e3, 40.0, 2.0, 1.0])
         i, j = np.divmod(np.arange(36), 6)
-        for p in (params(6, 1, 0.9), params(6, 2, 0.5), params(6, 9, 2.0)):
+        digest = hashlib.sha256()
+        cases = (params(6, 1, 0.9), params(6, 2, 0.5), params(6, 9, 2.0), params(6, 1, 1e200))
+        for p in cases:
             cm = bnd.cm_constant(p)
-            assert bnd.eigvec_bound_rankm(spec, p, i, j, cm).tobytes() == (
-                bnd.eigvec_bound_rankm(spec, p, i, j).tobytes()
-            )
-            assert bnd.eigvec_bound_rankm(spec, p, 2, 5, cm) == bnd.eigvec_bound_rankm(spec, p, 2, 5)
+            assert np.float64(p.cm).tobytes() == np.float64(cm).tobytes()
+            a = bnd.alpha(spec.lambdas[i], spec.lambdas[j])
+            expected = np.minimum(1.0, cm * a) if math.isfinite(cm) else np.ones_like(a)
+            rankm = bnd.eigvec_bound_rankm(spec, p, i, j)
+            assert rankm.tobytes() == expected.tobytes()
+            assert bnd.eigvec_bound_rankm(spec, p, 0, 5) == rankm[5]
+            digest.update(rankm.tobytes())
+        assert [math.isinf(p.cm) for p in cases] == [False, False, True, True]
+        assert digest.hexdigest() == (
+            "1fdece823f1aae8ce47625ca291901e37b646c07c7935965c4c6d62b5c1f1c30"
+        )
 
 
 class TestBoundParams:
@@ -383,6 +396,11 @@ class TestBoundParams:
         p = bnd.BoundParams.from_perturbations(perts)
         assert p.v_inf == pytest.approx(0.2)
         assert p.v_bound == pytest.approx(1.0 / math.sqrt(2.0))
+        # V = max(1/sqrt(d), max_k ||v_k||_inf), floored also for m = 0
+        two = PerturbationSet([np.array([1.0, -3.0]), np.array([0.5, 0.5])])
+        assert bnd.BoundParams.from_perturbations(two).v_bound == 3.0
+        empty = bnd.BoundParams.from_perturbations(PerturbationSet((), dim=4))
+        assert empty.v_bound == pytest.approx(0.5)
 
 
 def upper_report(observed, bound):

@@ -15,6 +15,7 @@ GOLDEN_100 = INSTANCES / "golden_d2_lambda100.txt"
 GOLDEN_1E4 = INSTANCES / "golden_d2_lambda1e4.txt"
 EXAMPLE_D5 = INSTANCES / "example_d5_m2.txt"
 OVERFLOWING_EIGENVALUE = "lambdas = [1e308, 1.0]\nvector = [2.0, 0.0]\n"
+OVERFLOWING_FACTOR = "lambdas = [1e300, 1.0]\nvector = [1e200, 1.0]\n"
 
 
 def eig_values(out):
@@ -290,9 +291,15 @@ class TestNumericalFailure:
             # the BNS components are about 1e160, so their norm overflows
             (["eig", "{f}", "--method", "secular"],
              "lambdas = [1e-320, 1e-321]\nvector = [1.0, 1.0]\n", "has a norm that overflows"),
+            # sqrt(lambda) v = 1e350 lies past the double range, in F and in z
+            (["eig", "{f}"], OVERFLOWING_FACTOR, "the factor has a non-finite entry"),
+            (["bounds", "{f}"], OVERFLOWING_FACTOR, "the factor has a non-finite entry"),
+            (["eig", "{f}", "--method", "secular"], OVERFLOWING_FACTOR,
+             "an eigenvalue overflows: z = sqrt(lambda) v exceeds the double range"),
         ],
         ids=["oracle-mismatch", "deflation", "overflow-verify", "overflow-eig", "overflow-bounds",
-             "secular-znorm-1e200", "secular-znorm-1e155", "secular-subnormal"],
+             "secular-znorm-1e200", "secular-znorm-1e155", "secular-subnormal",
+             "factor-overflow-eig", "factor-overflow-bounds", "factor-overflow-secular"],
     )
     @pytest.mark.filterwarnings("error")
     def test_exit_3_with_one_error_line(self, capsys, tmp_path, args, text, message):

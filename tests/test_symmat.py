@@ -99,15 +99,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             Spectrum([])
 
-    def test_perturbation_set_v_bound(self):
+    def test_perturbation_set_m_and_v_inf(self):
         p = PerturbationSet([np.array([1.0, -3.0]), np.array([0.5, 0.5])])
         assert p.m == 2
         assert p.v_inf == 3.0
-        assert p.v_bound == 3.0
-        # empty set: V floors at 1/sqrt(d)
         p0 = PerturbationSet((), dim=4)
         assert p0.v_inf == 0.0
-        assert p0.v_bound == pytest.approx(0.5)
         with pytest.raises(DimensionMismatchError) as err:
             PerturbationSet([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
         assert err.value.vector_index == 1
