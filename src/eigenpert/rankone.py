@@ -1,29 +1,36 @@
 """Exact spectrum of a single rank-one update D + z z^T.
 
 Eigenvalues are the roots of the secular function
-    f(nu) = 1 + sum_j z_j^2 / (lambda_j - nu)
-bracketed by interlacing, all solved at once: one array pass picks every
-root's bracket, and bisection then Newton run over all brackets in
-lockstep, each root taking the same steps it would take alone.
-Eigenvectors follow the Bunch-Nielsen-Sorensen formula
+    f(nu) = 1 + sum_j z_j^2 / (lambda_j - nu),
+one per interlacing interval, each found by one call of LAPACK's dlaed4
+(R.-C. Li's rational interpolation, the root finder of dstedc), which also
+returns every pole distance lambda_j - nu to full relative accuracy; one or
+two roots come from the closed forms of dlaed5.  Eigenvectors follow the
+Bunch-Nielsen-Sorensen formula
 [e_i]_j = C_i * z_j / (lambda_j - nu_i)  with C_i the reciprocal Euclidean
-norm.
+norm, evaluated on those pole distances.
 
 Degenerate inputs (zero z entries, repeated lambdas) are handled
 constructively by deflation: zero-weight coordinates keep their eigenpair,
 and colliding eigenvalues are rotated in their 2-plane so that one z entry
-vanishes.  Roots are stored as an anchor eigenvalue plus an offset so the
-pole distances lambda_j - nu_i keep full relative accuracy.
+vanishes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symmat import ConvergenceError, EigenDecomposition, Spectrum, apply_sign_convention
+from .symmat import (
+    ConvergenceError,
+    EigenDecomposition,
+    Spectrum,
+    apply_sign_convention,
+    bind_dlaed4,
+)
 
 # Coordinate j deflates when |z_j| <= Z_DEFLATION_RTOL * ||z||, or when
 # lambda_j lies within LAMBDA_COLLISION_RTOL * lambda_head of the active
@@ -31,21 +38,11 @@ from .symmat import ConvergenceError, EigenDecomposition, Spectrum, apply_sign_c
 # spectra keep their distinct small eigenvalues).
 Z_DEFLATION_RTOL = 1e-12
 LAMBDA_COLLISION_RTOL = 1e-12
-ROOT_MAX_ITER = 200
-# switch from bisection to Newton once the bracket shrank to this fraction
-NEWTON_SWITCH = 1e-3
 POLE_PROXIMITY_RTOL = 1e-14
-
-_EPS = float(np.finfo(float).eps)
 
 
 class SecularBracketError(RuntimeError):
-    """Root bracket failed to enclose a sign change."""
-
-    def __init__(self, message: str, bracket: tuple, residuals: tuple):
-        super().__init__(message)
-        self.bracket = bracket
-        self.residuals = residuals
+    """A secular root left its interlacing interval."""
 
 
 class DeflationError(RuntimeError):
@@ -92,16 +89,15 @@ class SecularSolution:
     """Updated eigenvalues (descending) plus deflation bookkeeping.
 
     `deflated[k]` is True where the update left the original eigenvalue
-    fixed.  The private fields record the rotated weights and the Givens
-    rotations needed to assemble eigenvectors.
+    fixed.  The private fields record the pole distances, the rotated
+    weights and the Givens rotations needed to assemble eigenvectors.
     """
 
     values: np.ndarray
     deflated: np.ndarray
     _slots: np.ndarray = field(repr=False)            # sorted position -> coordinate
     _active: np.ndarray = field(repr=False)           # active coordinates, lambda descending
-    _anchor: np.ndarray = field(repr=False)           # per active root: anchor active index
-    _mu: np.ndarray = field(repr=False)               # per active root: nu - lambda[anchor]
+    _poles: np.ndarray = field(repr=False)            # [k, j]: lambda[active j] - active root k
     _z_rot: np.ndarray = field(repr=False)
     _rotations: tuple = field(repr=False)
 
@@ -115,89 +111,66 @@ class SecularSolution:
         return int(self.values.size)
 
 
-def _secular_roots(delta: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Solve 1 + sum_j w_j/(delta[r, j] - mu_r) = 0 for every row r at once,
-    mu_r in the open bracket (lo[r], hi[r]).
-
-    Each row's g is strictly increasing; g -> -inf at the low end and g >= 0
-    at (or towards) the high end.  Bisection narrows every bracket to
-    NEWTON_SWITCH of its width, then Newton finishes, rejecting any step
-    that leaves the bracket.  The rows iterate in lockstep and a finished row
-    is frozen by a mask, so each row takes exactly the steps it would take
-    alone and its root comes out bit for bit the same.
+def _closed_form_roots(la: np.ndarray, w: np.ndarray) -> tuple:
+    """Roots (descending) and pole distances la_j - nu_k of 1 + sum_j w_j/(la_j - nu)
+    for one or two poles, as LAPACK's dlaed5 forms them: each root is its nearer
+    pole plus an offset tau from a cancellation-free quadratic formula, so every
+    distance keeps full relative accuracy.  The discriminants go through hypot,
+    which cannot overflow where the roots themselves do not.
     """
-    a = lo.copy()
-    b = hi.copy()
-    width0 = hi - lo
-    den = np.empty_like(delta)
-    terms = np.empty_like(delta)
-
-    def g(mu: np.ndarray, slope: bool):
-        np.subtract(delta, mu[:, None], out=den)
-        np.divide(w, den, out=terms)
-        gv = 1.0 + terms.sum(axis=1)
-        if not slope:
-            return gv, None
-        np.divide(terms, den, out=terms)
-        return gv, terms.sum(axis=1)
-
-    # a row next to a pole divides by zero or overflows; frozen rows' values
-    # are masked and a live row's inf or nan step falls back to bisection
-    with np.errstate(all="ignore"):
-        # a bracket only a few subnormals wide may never shrink below
-        # NEWTON_SWITCH of its width: the bisection count is capped too
-        live = (b - a) > NEWTON_SWITCH * width0
-        for _ in range(ROOT_MAX_ITER):
-            if not live.any():
-                break
-            mid = 0.5 * (a + b)
-            gv, _ = g(mid, False)
-            neg = gv < 0.0
-            np.copyto(a, mid, where=live & neg)
-            np.copyto(b, mid, where=live & ~neg)
-            live = (b - a) > NEWTON_SWITCH * width0
-
-        mu = 0.5 * (a + b)
-        live = np.ones(mu.shape, dtype=bool)
-        for _ in range(ROOT_MAX_ITER):
-            if not live.any():
-                break
-            gv, gp = g(mu, True)
-            live &= gv != 0.0
-            neg = gv < 0.0
-            np.copyto(a, mu, where=live & neg)
-            np.copyto(b, mu, where=live & ~neg)
-            # a step that leaves the bracket falls back to bisection; so does
-            # gp = 0 or nan (gp < 0 cannot happen), whose step is inf or nan
-            nxt = mu - gv / gp
-            np.copyto(nxt, 0.5 * (a + b), where=~((a < nxt) & (nxt < b)))
-            done = np.abs(nxt - mu) <= 32.0 * _EPS * np.abs(nxt)
-            np.copyto(mu, nxt, where=live)
-            live &= ~done
-    return mu
+    if la.size < 2:
+        return la + w, np.diag(-w)
+    gap = float(la[0] - la[1])
+    w_hi, w_lo = float(w[0]), float(w[1])
+    # offsets from la[0]: tau^2 - b tau - w_hi gap = 0, one root on each side
+    b = w_hi + w_lo - gap
+    r = math.hypot(b, 2.0 * math.sqrt(w_hi) * math.sqrt(gap))
+    top = 0.5 * (b + r) if b > 0.0 else 2.0 * w_hi * (gap / (r - b))
+    if 1.0 + 2.0 * (w_hi - w_lo) / gap > 0.0:
+        # f > 0 at the midpoint of the gap: the lower root is nearer la[1], and
+        # its offset from there is the small root of
+        # tau^2 - (gap + w_hi + w_lo) tau + w_lo gap = 0
+        s = math.hypot(gap - w_lo + w_hi, 2.0 * math.sqrt(w_lo) * math.sqrt(w_hi))
+        low = 2.0 * w_lo * (gap / (gap + w_hi + w_lo + s))
+        roots = [la[0] + top, la[1] + low]
+        poles = [[-top, -(gap + top)], [gap - low, -low]]
+    else:
+        low = -2.0 * w_hi * (gap / (b + r)) if b > 0.0 else 0.5 * (b - r)
+        roots = [la[0] + top, la[0] + low]
+        poles = [[-top, -(gap + top)], [-low, -(gap + low)]]
+    return np.array(roots), np.array(poles)
 
 
-def _top_bracket(la: np.ndarray, w: np.ndarray, total: float) -> float:
-    """Upper end hi of the top root's bracket (0, hi] on mu = nu - la[0].
+def _dlaed4_roots(la: np.ndarray, za: np.ndarray, coords: np.ndarray) -> tuple:
+    """Roots (descending) and pole distances la_j - nu_k of 1 + sum_j za_j^2/(la_j - nu),
+    one dlaed4 call per root.  LAPACK wants the poles ascending and z of unit
+    norm with rho = ||z||^2; the root above la[k] is its root n - k.
 
-    hi is the trace bound ||z||^2, widened on the fp edge where the root sits
-    at that bound and rounding leaves g(hi) below zero.
+    A nonzero info or a non-finite root raises ConvergenceError naming the
+    root by the coordinate `coords[k]` of its lower pole.
     """
-    delta = la - la[0]
-    hi = total if total > 0.0 else 1.0
-    gv = 1.0 + float(np.sum(w / (delta - hi)))
-    attempts = 0
-    while gv < 0.0:
-        hi *= 1.0 + 2.0**-30
-        gv = 1.0 + float(np.sum(w / (delta - hi)))
-        attempts += 1
-        if attempts > 64:
-            raise SecularBracketError(
-                "top secular root escaped its trace bracket",
-                bracket=(float(la[0]), float(la[0] + hi)),
-                residuals=(float("-inf"), gv),
+    n = la.size
+    znorm = float(np.linalg.norm(za))
+    poles_asc = np.ascontiguousarray(la[::-1])
+    z_asc = za[::-1] / znorm
+    delta = np.empty((n, n))
+    roots = np.empty(n)
+    dlaed4 = bind_dlaed4()
+    size, index, info = ctypes.c_int64(n), ctypes.c_int64(), ctypes.c_int64()
+    rho, nu = ctypes.c_double(znorm * znorm), ctypes.c_double()
+    head = (ctypes.byref(size), ctypes.byref(index), poles_asc.ctypes.data, z_asc.ctypes.data)
+    tail = (ctypes.byref(rho), ctypes.byref(nu), ctypes.byref(info))
+    row = delta.ctypes.data
+    for k in range(n):
+        index.value = n - k
+        dlaed4(*head, row + 8 * n * k, *tail)
+        if info.value != 0 or not math.isfinite(nu.value):
+            raise ConvergenceError(
+                f"LAPACK dlaed4 failed on the secular root above lambda[{int(coords[k])}]="
+                f"{float(la[k])!r}: info = {info.value}, nu = {nu.value!r}"
             )
-    return hi
+        roots[k] = nu.value
+    return roots, delta[:, ::-1]
 
 
 def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
@@ -217,6 +190,9 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
     # norm would return the unperturbed spectrum
     if not math.isfinite(total):
         raise ConvergenceError("an eigenvalue overflows: ||z||^2 exceeds the double range")
+    # a shift of ||z||^2 that rounds to zero leaves no weight to solve for
+    if total == 0.0 and z.any():
+        raise ConvergenceError("the update underflows: ||z||^2 is below the double range")
 
     deflated = np.abs(z) <= Z_DEFLATION_RTOL * znorm
     z_rot = z.copy()
@@ -241,31 +217,10 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
             active.append(j)
 
     act = np.array(active, dtype=int)
-    n = act.size
-    la = lam[act]
-    w = z_rot[act] ** 2
-
-    # Top root: anchor lambda_1(active), mu in (0, ||z||^2].  Root i >= 1
-    # lies in (lambda_i, lambda_{i-1}); the sign of g at the gap midpoint
-    # picks its anchor and the half gap that brackets it.
-    anchors = np.arange(n)
-    lo = np.zeros(n)
-    hi = np.zeros(n)
-    if n:
-        hi[0] = _top_bracket(la, w, total)
-    # every gap is positive: the collision pass kept each active coordinate
-    # only where this same difference exceeded LAMBDA_COLLISION_RTOL * lambda >= 0
-    half = 0.5 * (la[:-1] - la[1:])
-    g_mid = 1.0 + (w / ((la - la[1:, None]) - half[:, None])).sum(axis=1)
-    # g < 0 at the midpoint: the root is in the upper half, anchored at
-    # lambda_{i-1} with mu negative; otherwise anchored at lambda_i
-    upper = g_mid < 0.0
-    anchors[1:] -= upper
-    lo[1:] = np.where(upper, -half, 0.0)
-    hi[1:] = np.where(upper, 0.0, half)
-    mus = _secular_roots(la - la[anchors][:, None], w, lo, hi)
-
-    roots = la[anchors] + mus
+    if act.size <= 2:
+        roots, poles = _closed_form_roots(lam[act], z_rot[act] ** 2)
+    else:
+        roots, poles = _dlaed4_roots(lam[act], z_rot[act], act)
 
     slot_values = lam.copy()
     slot_values[act] = roots
@@ -277,8 +232,7 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
         deflated=deflated[order].copy(),
         _slots=order.copy(),
         _active=act,
-        _anchor=anchors,
-        _mu=mus,
+        _poles=poles,
         _z_rot=z_rot,
         _rotations=tuple(rotations),
     )
@@ -301,10 +255,13 @@ def _check_interlacing(u: RankOneUpdate, sol: SecularSolution) -> None:
         bad = int(np.argmax(outside))
         raise SecularBracketError(
             f"secular root {bad} violates interlacing: nu={float(sol.values[bad])!r} "
-            f"lambda={float(lam[bad])!r}",
-            bracket=(float(lam[bad]), float(upper[bad])),
-            residuals=(float(sol.values[bad] - lam[bad]),),
+            f"lambda={float(lam[bad])!r}"
         )
+
+
+def _root(sol: SecularSolution, k: int) -> float:
+    """The eigenvalue of active root k."""
+    return float(sol.values[sol._slots == sol._active[k]][0])
 
 
 def rankone_full(spec: Spectrum, v) -> EigenDecomposition:
@@ -318,23 +275,26 @@ def rankone_full(spec: Spectrum, v) -> EigenDecomposition:
     sol = secular_eigenvalues(RankOneUpdate.from_direction(spec, v))
     act = sol._active
     la = spec.lambdas[act]
-    dens = (la - la[sol._anchor][:, None]) - sol._mu[:, None]
+    dens = sol._poles
     tight = np.abs(dens) <= POLE_PROXIMITY_RTOL * la
     if np.any(tight):
         k, j = np.argwhere(tight)[0]
-        raise DeflationError(
-            f"secular root nu={float(la[sol._anchor[k]] + sol._mu[k])!r} lies within "
+        message = (
+            f"secular root nu={_root(sol, k)!r} lies within "
             f"1e-14 relative of undeflated pole lambda[{act[j]}]={float(la[j])!r}; "
             "deflation thresholds are misconfigured"
         )
+        # a caller that keeps the error keeps this frame through its traceback
+        # (a batch run collecting its failures): let the n x n arrays go first
+        del sol, dens, tight
+        raise DeflationError(message)
     with np.errstate(over="ignore"):
         comps = sol._z_rot[act] / dens
         norms = np.linalg.norm(comps, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms)):
         k = int(np.argmin(np.isfinite(norms)))
         raise ConvergenceError(
-            f"the eigenvector of secular root nu={float(la[sol._anchor[k]] + sol._mu[k])!r} "
-            "has a norm that overflows"
+            f"the eigenvector of secular root nu={_root(sol, k)!r} has a norm that overflows"
         )
     comps *= 1.0 / norms
     basis = np.eye(spec.d)

@@ -12,6 +12,7 @@ eigenvalues and 1e-13 on |[e_1]_j| against mpmath up to lambda_1 = 1e60.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,12 +22,15 @@ import numpy as np
 # positive; fixes signs deterministically across runs.
 SIGN_PIVOT_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
-# LAPACKE's one-sided Jacobi SVD in the OpenBLAS build that numpy wheels
-# ship under numpy.libs/ (ILP64, symbols prefixed scipy_ and suffixed 64_)
+# LAPACKE's one-sided Jacobi SVD and LAPACK's secular equation solver in the
+# OpenBLAS build that numpy wheels ship under numpy.libs/ (ILP64, symbols
+# prefixed scipy_ and suffixed 64_)
 OPENBLAS_GLOB = "libscipy_openblas64_*.so"
 DGEJSV_SYMBOL = "scipy_LAPACKE_dgejsv64_"
+DLAED4_SYMBOL = "scipy_dlaed4_64_"
 _LAPACK_COL_MAJOR = 102
 _dgejsv = None
+_dlaed4 = None
 
 
 class DimensionMismatchError(ValueError):
@@ -170,7 +174,7 @@ class EigenDecomposition:
         gram = bas.T @ bas
         gram.ravel()[:: d + 1] -= 1.0  # minus the identity
         resid = float(np.abs(gram, out=gram).max())
-        if resid > ORTHONORMALITY_TOL:
+        if not resid <= ORTHONORMALITY_TOL:  # a nan residual is refused too
             raise ValueError(f"basis is not orthonormal: residual {resid:.3e}")
         vals.flags.writeable = False
         bas.flags.writeable = False
@@ -213,24 +217,46 @@ def build_perturbed(spec: Spectrum, perts: PerturbationSet) -> SymmetricMatrix:
     return SymmetricMatrix(a)
 
 
+@functools.cache
+def _load_library(path: str) -> ctypes.CDLL:
+    return ctypes.CDLL(path)
+
+
+def _lapack_function(name: str, restype, *argtypes):
+    """Function `name` of numpy's bundled OpenBLAS, which is loaded once,
+    bound with its C signature."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    paths = sorted(libdir.glob(OPENBLAS_GLOB)) or [libdir / OPENBLAS_GLOB]
+    try:
+        return ctypes.CFUNCTYPE(restype, *argtypes)((name, _load_library(str(paths[0]))))
+    except (OSError, AttributeError) as exc:
+        raise LapackBindingError(f"cannot bind {name} from {paths[0]}: {exc}") from exc
+
+
 def _bind_dgejsv():
-    """LAPACKE's dgejsv from numpy's bundled OpenBLAS, bound on first use."""
+    """LAPACKE's dgejsv, bound on first use."""
     global _dgejsv
     if _dgejsv is None:
-        libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-        paths = sorted(libdir.glob(OPENBLAS_GLOB)) or [libdir / OPENBLAS_GLOB]
-        try:
-            fn = getattr(ctypes.CDLL(str(paths[0])), DGEJSV_SYMBOL)
-        except (OSError, AttributeError) as exc:
-            raise LapackBindingError(f"cannot bind {DGEJSV_SYMBOL} from {paths[0]}: {exc}") from exc
         i64, ch, ptr = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p
         # layout, joba, jobu, jobv, jobr, jobt, jobp, m, n, a, lda, sva,
         # u, ldu, v, ldv, stat, istat
-        fn.argtypes = [ctypes.c_int, ch, ch, ch, ch, ch, ch, i64, i64, ptr, i64, ptr,
-                       ptr, i64, ptr, i64, ptr, ptr]
-        fn.restype = i64
-        _dgejsv = fn
+        _dgejsv = _lapack_function(DGEJSV_SYMBOL, i64, ctypes.c_int, ch, ch, ch, ch, ch, ch,
+                                   i64, i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, ptr)
     return _dgejsv
+
+
+def bind_dlaed4():
+    """LAPACK's dlaed4 (Li's secular equation solver), bound on first use.
+
+    A Fortran routine: every argument goes by reference, integers are 64-bit.
+    """
+    global _dlaed4
+    if _dlaed4 is None:
+        i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+        ptr = ctypes.c_void_p
+        # n, i, d, z, delta, rho, dlam, info
+        _dlaed4 = _lapack_function(DLAED4_SYMBOL, None, i64, i64, ptr, ptr, ptr, f64, f64, i64)
+    return _dlaed4
 
 
 def factor_eig(f: np.ndarray) -> EigenDecomposition:

@@ -291,6 +291,16 @@ class TestNumericalFailure:
             # the BNS components are about 1e160, so their norm overflows
             (["eig", "{f}", "--method", "secular"],
              "lambdas = [1e-320, 1e-321]\nvector = [1.0, 1.0]\n", "has a norm that overflows"),
+            # ||z||^2 = 1e-506 rounds to zero: no weight is left to solve for
+            (["eig", "{f}", "--method", "secular"],
+             "lambdas = [1e-54, 1e-54]\nvector = [1e-226, 1e-228]\n",
+             "the update underflows: ||z||^2 is below the double range"),
+            # lambda_1 = 1e250: the two active roots come out wrong (only the
+            # cross-check sees it), and at d = 50 dlaed4 fails on the top root
+            (["verify", "--d", "20", "--m", "1", "--lambda1-list", "1e250", "--seeds", "1"],
+             None, "secular and Jacobi eigenvalues disagree at index 2: "),
+            (["verify", "--d", "50", "--m", "1", "--lambda1-list", "1e250", "--seeds", "1"],
+             None, "LAPACK dlaed4 failed on the secular root above lambda[0]=1e+250: info = 1"),
             # sqrt(lambda) v = 1e350 lies past the double range, in F and in z
             (["eig", "{f}"], OVERFLOWING_FACTOR, "the factor has a non-finite entry"),
             (["bounds", "{f}"], OVERFLOWING_FACTOR, "the factor has a non-finite entry"),
@@ -299,6 +309,7 @@ class TestNumericalFailure:
         ],
         ids=["oracle-mismatch", "deflation", "overflow-verify", "overflow-eig", "overflow-bounds",
              "secular-znorm-1e200", "secular-znorm-1e155", "secular-subnormal",
+             "secular-znorm-underflow", "secular-d20-1e250", "dlaed4-info-d50-1e250",
              "factor-overflow-eig", "factor-overflow-bounds", "factor-overflow-secular"],
     )
     @pytest.mark.filterwarnings("error")
@@ -318,6 +329,19 @@ class TestNumericalFailure:
         monkeypatch.setattr(symmat, "DGEJSV_SYMBOL", "nope")
         monkeypatch.setattr(symmat, "_dgejsv", None)
         assert cli.main(["verify", "--d", "2", "--m", "1", "--seeds", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot bind nope from ")
+        assert symmat.OPENBLAS_GLOB.split("*")[0] in lines[0]
+
+    def test_missing_dlaed4_symbol_exit_3(self, capsys, monkeypatch, tmp_path):
+        # three active roots: the secular path calls dlaed4 (one or two use closed forms)
+        monkeypatch.setattr(symmat, "DLAED4_SYMBOL", "nope")
+        monkeypatch.setattr(symmat, "_dlaed4", None)
+        f = tmp_path / "instance.txt"
+        f.write_text("lambdas = [3.0, 2.0, 1.0]\nvector = [1.0, 1.0, 1.0]\n")
+        assert cli.main(["eig", str(f), "--method", "secular"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

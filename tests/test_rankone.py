@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 
 from eigenpert.harness import CROSSCHECK_RTOL, gen_rankone_instance
 from eigenpert.rankone import (
-    NEWTON_SWITCH,
-    ROOT_MAX_ITER,
     DeflationError,
     RankOneUpdate,
-    _secular_roots,
     rankone_full,
     secular_eigenvalues,
 )
-from eigenpert.symmat import PerturbationSet, Spectrum, build_perturbed, jacobi_eig
-from conftest import align_sign, s_formula
+from eigenpert.symmat import (
+    ConvergenceError,
+    PerturbationSet,
+    Spectrum,
+    build_perturbed,
+    jacobi_eig,
+)
+from conftest import align_sign, mp_eigensolve, s_formula
 
 
 def update(lams, z):
@@ -25,11 +28,15 @@ def update(lams, z):
 
 
 _EPS = float(np.finfo(float).eps)
+# the reference bisects each bracket down to this fraction, at most
+# _ROOT_MAX_ITER halvings, before it switches to Newton
+_NEWTON_SWITCH = 1e-3
+_ROOT_MAX_ITER = 200
 
 
 def _secular_root_reference(delta, w, lo, hi):
     """One root of 1 + sum w_j/(delta_j - mu) = 0 in (lo, hi), solved alone:
-    bisection down to NEWTON_SWITCH of the bracket (at most ROOT_MAX_ITER
+    bisection down to _NEWTON_SWITCH of the bracket (at most _ROOT_MAX_ITER
     halvings), then safeguarded Newton."""
 
     def g(mu):
@@ -39,8 +46,8 @@ def _secular_root_reference(delta, w, lo, hi):
 
     width0 = hi - lo
     a, b = lo, hi
-    for _ in range(ROOT_MAX_ITER):
-        if (b - a) <= NEWTON_SWITCH * width0:
+    for _ in range(_ROOT_MAX_ITER):
+        if (b - a) <= _NEWTON_SWITCH * width0:
             break
         mid = 0.5 * (a + b)
         gv, _ = g(mid)
@@ -49,7 +56,7 @@ def _secular_root_reference(delta, w, lo, hi):
         else:
             b = mid
     mu = 0.5 * (a + b)
-    for _ in range(ROOT_MAX_ITER):
+    for _ in range(_ROOT_MAX_ITER):
         gv, gp = g(mu)
         if gv == 0.0:
             return mu
@@ -90,21 +97,76 @@ def _brackets_reference(la, w, total):
     return anchors, lo, hi
 
 
+def active_roots(sol):
+    """The eigenvalues of a solution's active (non-deflated) roots, descending."""
+    by_coordinate = np.empty(sol.d)
+    by_coordinate[sol._slots] = sol.values
+    return by_coordinate[sol._active]
+
+
 def assert_roots_match_reference(u):
-    """The lockstep roots of `u` equal the one-root-at-a-time reference bit
-    for bit, row by row, and so do secular_eigenvalues' anchors and offsets."""
+    """secular_eigenvalues' active roots agree within 1e-14 relative with the
+    one-root-at-a-time bisection/Newton reference."""
     sol = secular_eigenvalues(u)
     la = u.spectrum.lambdas[sol._active]
     w = sol._z_rot[sol._active] ** 2
     znorm = float(np.linalg.norm(u.z))
     anchors, lo, hi = _brackets_reference(la, w, znorm * znorm)
-    rows = _secular_roots(la - la[anchors][:, None], w, lo, hi)
-    for r in range(la.size):
-        with np.errstate(over="ignore", divide="ignore"):
-            ref = _secular_root_reference(la - la[anchors[r]], w, lo[r], hi[r])
-        assert rows[r].tobytes() == np.float64(ref).tobytes(), (r, rows[r], ref)
-    assert np.array_equal(sol._anchor, anchors)
-    assert sol._mu.tobytes() == rows.tobytes()
+    with np.errstate(over="ignore", divide="ignore"):
+        mus = [_secular_root_reference(la - la[a], w, lo[r], hi[r]) for r, a in enumerate(anchors)]
+    ref = la[anchors] + np.array(mus)
+    assert np.all(np.abs(active_roots(sol) - ref) <= 1e-14 * ref)
+
+
+def mp_secular(la, z, poles, dps=32):
+    """Roots and pole distances of 1 + sum_j z_j^2 / (la_j - nu), la distinct,
+    refined by Newton in mpmath at `dps` digits from the double pole distances
+    `poles` ([k, j] = la_j - nu_k).  Root k is solved as an offset from its
+    nearer pole, so distances far below the ulp of la stay resolved."""
+    import mpmath as mp
+
+    n = len(la)
+    values, dists = np.empty(n), np.empty((n, n))
+    with mp.workdps(dps):
+        lam = [mp.mpf(float(x)) for x in la]
+        w = [mp.mpf(float(x)) ** 2 for x in z]
+        for k in range(n):
+            a = k - 1 if k and abs(poles[k, k - 1]) < abs(poles[k, k]) else k
+            delta = [x - lam[a] for x in lam]
+            mu = -mp.mpf(float(poles[k, a]))
+            for _ in range(30):
+                terms = [wj / (dj - mu) for wj, dj in zip(w, delta)]
+                step = (1 + mp.fsum(terms)) / mp.fsum(t / (dj - mu) for t, dj in zip(terms, delta))
+                mu -= step
+                if abs(step) <= abs(mu) * mp.mpf(10) ** (8 - dps):
+                    break
+            values[k] = float(lam[a] + mu)
+            dists[k] = [float(dj - mu) for dj in delta]
+    return values, dists
+
+
+def assert_poles_match_mpmath(u, rtol=1e-13):
+    """The pole distances lambda_j - nu_k of secular_eigenvalues agree with
+    mpmath's within rtol relative, or a few subnormals where they underflow."""
+    sol = secular_eigenvalues(u)
+    act = sol._active
+    _, ref = mp_secular(u.spectrum.lambdas[act], sol._z_rot[act], sol._poles)
+    floor = 4.0 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(sol._poles - ref) <= rtol * np.abs(ref) + floor)
+
+
+def assert_values_match_mpmath(lambdas, v, rtol=1e-13):
+    """secular_eigenvalues agrees within rtol relative with an mpmath
+    eigensolve of D + z z^T, z = sqrt(D) v formed in mpmath."""
+    import mpmath as mp
+
+    sol = secular_eigenvalues(RankOneUpdate.from_direction(Spectrum(lambdas), v))
+    lam = np.asarray(lambdas, dtype=float)
+    with mp.workdps(30 + int(math.log10(lam[0] / lam[-1]))):
+        diag = [mp.mpf(float(x)) for x in lam]
+        z = mp.matrix([mp.sqrt(x) * mp.mpf(float(y)) for x, y in zip(diag, v)])
+        ref = np.sort([float(x) for x in mp.eigsy(mp.diag(diag) + z * z.T, eigvals_only=True)])
+    assert np.all(np.abs(sol.values - ref[::-1]) <= rtol * ref[::-1])
 
 
 def graded_rank1(rng, log_l1, d=64):
@@ -136,28 +198,42 @@ def rankone_inputs(draw):
 
 
 class TestLockstepRoots:
+    """The roots agree with the one-root-at-a-time bisection/Newton
+    reference, and on d <= 12 with an mpmath eigensolve."""
+
     def test_graded_benchmark_instances(self):
         rng = np.random.default_rng(64)
         for log_l1 in np.linspace(2.0, 11.0, 24):
             lambdas, v = graded_rank1(rng, log_l1)
-            assert_roots_match_reference(RankOneUpdate.from_direction(Spectrum(lambdas), v))
+            u = RankOneUpdate.from_direction(Spectrum(lambdas), v)
+            assert_roots_match_reference(u)
+            assert_poles_match_mpmath(u)
 
     def test_generated_instances(self):
         for seed in range(500):
             inst = gen_rankone_instance(seed)
-            assert_roots_match_reference(
-                RankOneUpdate.from_direction(inst.spectrum, inst.perts.vectors[0])
-            )
+            u = RankOneUpdate.from_direction(inst.spectrum, inst.perts.vectors[0])
+            assert_roots_match_reference(u)
+            assert_poles_match_mpmath(u)
+            assert_values_match_mpmath(inst.spectrum.lambdas, inst.perts.vectors[0])
 
     @given(rankone_inputs())
     @example(([3.0, 2.0, 1.0], [0.0, 0.0, 0.0]))  # no active root
     @example(([1.0] * 5, [0.3, -0.2, 1e-13, 0.0, 0.5]))  # lambda = I: one root
     @example(([4.0, 1.0], [0.125, 1.25]))  # g = 0 exactly at the gap midpoint
-    @example(([2.0, 1.0], [1e-161, 1e-161]))  # top bracket a few subnormals wide
+    @example(([2.0, 1.0], [1e-161, 1e-161]))  # ||z||^2 a few subnormals wide
     @settings(max_examples=300, deadline=None)
     def test_ties_zero_and_tiny_weights(self, inputs):
         lambdas, v = inputs
-        assert_roots_match_reference(RankOneUpdate.from_direction(Spectrum(lambdas), v))
+        u = RankOneUpdate.from_direction(Spectrum(lambdas), v)
+        if u.z.any() and not np.any(u.z * u.z):
+            # every z_j^2 underflows (subnormal weights): a typed error
+            with pytest.raises(ConvergenceError, match="underflows"):
+                secular_eigenvalues(u)
+            return
+        assert_roots_match_reference(u)
+        assert_poles_match_mpmath(u)
+        assert_values_match_mpmath(lambdas, v)
 
     def test_subnormal_top_bracket_terminates(self):
         # ||z||^2 = 3e-322 never bisects down to NEWTON_SWITCH of itself
@@ -165,7 +241,10 @@ class TestLockstepRoots:
         assert np.array_equal(sol.values, [2.0, 1.0])
 
     def test_rankone_full_bytes_pinned(self):
-        # sha256 of values + basis bytes, recorded from the one-root-at-a-time solver
+        # sha256 of values + basis bytes, recorded once the three instances
+        # were checked against mpmath: eigenvalues within 1e-13 relative and
+        # every eigenvector coordinate within 1e-12 relative (the floor is
+        # the mpmath eigensolve's own noise on structural zeros)
         def digest(spec, v):
             eig = rankone_full(spec, v)
             return hashlib.sha256(eig.values.tobytes() + eig.basis.tobytes()).hexdigest()
@@ -175,10 +254,25 @@ class TestLockstepRoots:
         v = rng.choice([-1.0, 1.0], 64) * 10.0 ** rng.uniform(-3.0, 0.3, 64)
         inst = gen_rankone_instance(3)
         tied = Spectrum([5.0, 3.0, 3.0, 2.0, 1.0]), [0.4, 0.3, -0.2, 0.0, 0.5]
+
+        sol = secular_eigenvalues(RankOneUpdate.from_direction(graded, v))
+        assert not sol.deflated.any()
+        values, dists = mp_secular(graded.lambdas, sol._z_rot, sol._poles)
+        comps = np.abs(sol._z_rot / dists)
+        refs = [(values, (comps / np.linalg.norm(comps, axis=1, keepdims=True)).T)]
+        for spec, w in ((inst.spectrum, inst.perts.vectors[0]), tied):
+            refs.append(mp_eigensolve(spec.lambdas, [w], 40))
+        for (spec, w), (ref_values, ref_basis) in zip(
+            [(graded, v), (inst.spectrum, inst.perts.vectors[0]), tied], refs
+        ):
+            eig = rankone_full(spec, w)
+            assert np.all(np.abs(eig.values - ref_values) <= 1e-13 * ref_values)
+            assert np.all(np.abs(np.abs(eig.basis) - ref_basis) <= 1e-12 * ref_basis + 1e-30)
+
         assert [digest(graded, v), digest(inst.spectrum, inst.perts.vectors[0]), digest(*tied)] == [
-            "1cdb4271c38234c721bd983324d769595e502d8528e559c81beeaf050d135e0f",
-            "eaa26563d3e548d12d458386a12c500669fde54e44843758abe6c31955398f89",
-            "82ee111a76da1537e07f1358db04e147b8c53045df05b394e67fe879475023a4",
+            "f2ee77b02ff611ed1f8ee5818b68b08842d950d388acd3e4e7835a4267af3e34",
+            "1303f99c25d3896273e1c566c9d8f14fa5671139cade68c14fdbc466deec733f",
+            "4e823287ee61b741acac6b194d5b2baa0c85f7168ae7cd42f15a1df1d8ae77d8",
         ]
 
 

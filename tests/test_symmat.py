@@ -131,8 +131,10 @@ class TestTypes:
             ([2.0, 1.0], [[1.0, 0.0], [0.0, 1.0 + 3e-10]],
              "basis is not orthonormal: residual 6.000e-10"),
             ([2.0, 1.0], np.eye(3)[:2], "basis shape (2, 3) does not match 2 eigenvalues"),
+            ([2.0, 1.0], [[1.0, 0.0], [0.0, np.nan]], "basis is not orthonormal: residual nan"),
         ],
-        ids=["unsorted", "unsorted-tail", "not-orthonormal", "diagonal-residual", "shape"],
+        ids=["unsorted", "unsorted-tail", "not-orthonormal", "diagonal-residual", "shape",
+             "nan-basis"],
     )
     def test_eigendecomposition_error_messages(self, values, basis, message):
         with pytest.raises(ValueError) as err:
@@ -380,7 +382,7 @@ class TestLapackBinding:
     def test_cli_import_does_not_bind(self):
         code = (
             "import eigenpert.cli, eigenpert.symmat as s; "
-            "assert s._dgejsv is None; "
+            "assert s._dgejsv is None and s._dlaed4 is None; "
             "s.jacobi_eig(s.SymmetricMatrix([[2.0, 1.0], [1.0, 2.0]])); "
             "assert s._dgejsv is not None"
         )
