@@ -27,10 +27,10 @@ ORTHONORMALITY_TOL = 1e-10
 # prefixed scipy_ and suffixed 64_)
 OPENBLAS_GLOB = "libscipy_openblas64_*.so"
 DGEJSV_SYMBOL = "scipy_LAPACKE_dgejsv64_"
-DLAED4_SYMBOL = "scipy_dlaed4_64_"
+DLAED9_SYMBOL = "scipy_dlaed9_64_"
 _LAPACK_COL_MAJOR = 102
 _dgejsv = None
-_dlaed4 = None
+_dlaed9 = None
 
 
 class DimensionMismatchError(ValueError):
@@ -245,18 +245,17 @@ def _bind_dgejsv():
     return _dgejsv
 
 
-def bind_dlaed4():
-    """LAPACK's dlaed4 (Li's secular equation solver), bound on first use.
+def bind_dlaed9():
+    """LAPACK's dlaed9 (the secular roots by dlaed4, then the Gu-Eisenstat
+    eigenvectors), bound on first use.
 
-    A Fortran routine: every argument goes by reference, integers are 64-bit.
+    A Fortran routine: every argument is an address, integers are 64-bit.
     """
-    global _dlaed4
-    if _dlaed4 is None:
-        i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-        ptr = ctypes.c_void_p
-        # n, i, d, z, delta, rho, dlam, info
-        _dlaed4 = _lapack_function(DLAED4_SYMBOL, None, i64, i64, ptr, ptr, ptr, f64, f64, i64)
-    return _dlaed4
+    global _dlaed9
+    if _dlaed9 is None:
+        # k, kstart, kstop, n, d, q, ldq, rho, dlambda, w, s, lds, info
+        _dlaed9 = _lapack_function(DLAED9_SYMBOL, None, *[ctypes.c_void_p] * 13)
+    return _dlaed9
 
 
 def factor_eig(f: np.ndarray) -> EigenDecomposition:

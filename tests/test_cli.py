@@ -118,6 +118,23 @@ class TestCmdEig:
         b = eig_values(ora)
         assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_secular_subnormal_spectrum(self, capsys, tmp_path):
+        # lambda_3 = 1e-310 is subnormal: the secular problem is solved
+        # scaled, and its eigenpairs match a 700-digit mpmath eigensolve
+        f = tmp_path / "tiny.txt"
+        f.write_text("lambdas = [1e-300, 1e-305, 1e-310]\nvector = [1.0, 1.0, 1.0]\n")
+        assert cli.main(["eig", str(f), "--method", "secular"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        values = np.array(eig_values("\n".join(lines)))
+        basis = np.array([
+            [float(x) for x in line.split("= [", 1)[1].rstrip("]").split(", ")]
+            for line in lines if line.startswith("eigenvector ")
+        ]).T
+        ref_values, ref_basis = mp_eigensolve([1e-300, 1e-305, 1e-310], [[1.0, 1.0, 1.0]], 700)
+        assert np.all(np.abs(values - ref_values) <= 1e-13 * ref_values)
+        assert np.all(np.abs(np.abs(basis) - ref_basis) <= 1e-12 * ref_basis)
+
     def test_secular_rejects_wrong_m(self, capsys, tmp_path):
         assert cli.main(["eig", str(EXAMPLE_D5), "--method", "secular"]) == 2
         assert "m=2" in capsys.readouterr().err
@@ -291,16 +308,27 @@ class TestNumericalFailure:
             # the BNS components are about 1e160, so their norm overflows
             (["eig", "{f}", "--method", "secular"],
              "lambdas = [1e-320, 1e-321]\nvector = [1.0, 1.0]\n", "has a norm that overflows"),
+            # three active roots: the component of the root near 5e-161 at the
+            # pole 1e-320 is about 1e160
+            (["eig", "{f}", "--method", "secular"],
+             "lambdas = [1.0, 1e-160, 1e-320]\nvector = [1.0, 1e80, 1e160]\n",
+             "above lambda[2]=1e-320 has a norm that overflows"),
             # ||z||^2 = 1e-506 rounds to zero: no weight is left to solve for
             (["eig", "{f}", "--method", "secular"],
              "lambdas = [1e-54, 1e-54]\nvector = [1e-226, 1e-228]\n",
              "the update underflows: ||z||^2 is below the double range"),
-            # lambda_1 = 1e250: the two active roots come out wrong (only the
-            # cross-check sees it), and at d = 50 dlaed4 fails on the top root
+            # lambda_1 = 1e250: the z-deflation leaves wrong eigenvalues, which
+            # only the cross-check sees (at d = 20 two roots stay active, at
+            # d = 50 five, solved scaled by dlaed9)
             (["verify", "--d", "20", "--m", "1", "--lambda1-list", "1e250", "--seeds", "1"],
              None, "secular and Jacobi eigenvalues disagree at index 2: "),
             (["verify", "--d", "50", "--m", "1", "--lambda1-list", "1e250", "--seeds", "1"],
-             None, "LAPACK dlaed4 failed on the secular root above lambda[0]=1e+250: info = 1"),
+             None, "secular and Jacobi eigenvalues disagree at index 5: "),
+            # z = (1, 1, 1) over poles 1e300, 1e140, 1e-20: dlaed4 solves the
+            # lowest root and fails on the next one
+            (["eig", "{f}", "--method", "secular"],
+             "lambdas = [1e300, 1e140, 1e-20]\nvector = [1e-150, 1e-70, 1e10]\n",
+             "LAPACK dlaed9 failed on the secular root above lambda[1]=1e+140: info = 1, nu = nan"),
             # sqrt(lambda) v = 1e350 lies past the double range, in F and in z
             (["eig", "{f}"], OVERFLOWING_FACTOR, "the factor has a non-finite entry"),
             (["bounds", "{f}"], OVERFLOWING_FACTOR, "the factor has a non-finite entry"),
@@ -308,8 +336,8 @@ class TestNumericalFailure:
              "an eigenvalue overflows: z = sqrt(lambda) v exceeds the double range"),
         ],
         ids=["oracle-mismatch", "deflation", "overflow-verify", "overflow-eig", "overflow-bounds",
-             "secular-znorm-1e200", "secular-znorm-1e155", "secular-subnormal",
-             "secular-znorm-underflow", "secular-d20-1e250", "dlaed4-info-d50-1e250",
+             "secular-znorm-1e200", "secular-znorm-1e155", "secular-subnormal", "secular-norm-d3",
+             "secular-znorm-underflow", "secular-d20-1e250", "secular-d50-1e250", "dlaed9-info",
              "factor-overflow-eig", "factor-overflow-bounds", "factor-overflow-secular"],
     )
     @pytest.mark.filterwarnings("error")
@@ -335,10 +363,10 @@ class TestNumericalFailure:
         assert len(lines) == 1 and lines[0].startswith("error: cannot bind nope from ")
         assert symmat.OPENBLAS_GLOB.split("*")[0] in lines[0]
 
-    def test_missing_dlaed4_symbol_exit_3(self, capsys, monkeypatch, tmp_path):
-        # three active roots: the secular path calls dlaed4 (one or two use closed forms)
-        monkeypatch.setattr(symmat, "DLAED4_SYMBOL", "nope")
-        monkeypatch.setattr(symmat, "_dlaed4", None)
+    def test_missing_dlaed9_symbol_exit_3(self, capsys, monkeypatch, tmp_path):
+        # three active roots: the secular path calls dlaed9 (one or two use closed forms)
+        monkeypatch.setattr(symmat, "DLAED9_SYMBOL", "nope")
+        monkeypatch.setattr(symmat, "_dlaed9", None)
         f = tmp_path / "instance.txt"
         f.write_text("lambdas = [3.0, 2.0, 1.0]\nvector = [1.0, 1.0, 1.0]\n")
         assert cli.main(["eig", str(f), "--method", "secular"]) == 3

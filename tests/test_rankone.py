@@ -179,6 +179,23 @@ def graded_rank1(rng, log_l1, d=64):
     return lambdas, signs * 10.0 ** rng.uniform(-3.0, np.log10(2.0), d)
 
 
+def clustered_rank1(rng, d=64):
+    """Clusters of 1 to 8 eigenvalues with relative spacings log-uniform in
+    [1e-9, 1e-3], centred log-uniformly over [1, 1e8], and weights |v_j|
+    log-uniform in [1e-2, 2] with random signs."""
+    sizes = []
+    while sum(sizes) < d:
+        sizes.append(int(rng.integers(1, 9)))
+    sizes[-1] -= sum(sizes) - d
+    centres = np.sort(10.0 ** rng.uniform(0.0, 8.0, len(sizes)))[::-1]
+    lambdas = []
+    for centre, size in zip(centres, sizes):
+        steps = 10.0 ** rng.uniform(-9.0, -3.0, size - 1)
+        lambdas.extend(centre * (1.0 - np.concatenate([[0.0], np.cumsum(steps)])))
+    signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+    return np.sort(lambdas)[::-1], signs * 10.0 ** rng.uniform(-2.0, np.log10(2.0), d)
+
+
 _LAMBDA_POOL = st.lists(st.floats(1.0, 1e8), min_size=1, max_size=4)
 _WEIGHT = st.one_of(
     st.just(0.0),
@@ -222,6 +239,7 @@ class TestLockstepRoots:
     @example(([1.0] * 5, [0.3, -0.2, 1e-13, 0.0, 0.5]))  # lambda = I: one root
     @example(([4.0, 1.0], [0.125, 1.25]))  # g = 0 exactly at the gap midpoint
     @example(([2.0, 1.0], [1e-161, 1e-161]))  # ||z||^2 a few subnormals wide
+    @example(([2.0] * 3 + [1.0] * 4, [0.0, 0.0, 1e-8, 0.0, 0.0, 0.0, 1.0]))  # w_lo near the gap
     @settings(max_examples=300, deadline=None)
     def test_ties_zero_and_tiny_weights(self, inputs):
         lambdas, v = inputs
@@ -270,9 +288,9 @@ class TestLockstepRoots:
             assert np.all(np.abs(np.abs(eig.basis) - ref_basis) <= 1e-12 * ref_basis + 1e-30)
 
         assert [digest(graded, v), digest(inst.spectrum, inst.perts.vectors[0]), digest(*tied)] == [
-            "f2ee77b02ff611ed1f8ee5818b68b08842d950d388acd3e4e7835a4267af3e34",
-            "1303f99c25d3896273e1c566c9d8f14fa5671139cade68c14fdbc466deec733f",
-            "4e823287ee61b741acac6b194d5b2baa0c85f7168ae7cd42f15a1df1d8ae77d8",
+            "82afe949366dd73e869d47d52ac82ff5dbb0d029076ab75c52e85f6532e63d86",
+            "9ab67923aae6a9def5d42fbb2e8ebe33db63c05f58838571c6c4a524213836ad",
+            "eefb8eabfd3db1f88d3650876d13e6fab8278432381d35504997be24926a1bb8",
         ]
 
 
@@ -401,6 +419,31 @@ class TestRankoneFull:
             eig = rankone_full(inst.spectrum, inst.perts.vectors[0])
             gram = eig.basis.T @ eig.basis - np.eye(inst.d)
             assert np.max(np.abs(gram)) <= 1e-9
+
+
+class TestSecularSolve:
+    @pytest.mark.parametrize("generator", ["graded", "clustered"])
+    def test_basis_orthogonal_to_working_precision(self, generator):
+        # max |X^T X - I| <= 1e-14 at d = 64; eigenvectors formed from the
+        # pole distances dlaed4 returns reached 6e-13 on clustered spectra
+        rng = np.random.default_rng(4101)
+        for _ in range(400):
+            if generator == "graded":
+                lambdas, v = graded_rank1(rng, rng.uniform(2.0, 11.0))
+            else:
+                lambdas, v = clustered_rank1(rng)
+            basis = rankone_full(Spectrum(lambdas), v).basis
+            assert np.abs(basis.T @ basis - np.eye(64)).max() <= 1e-14
+
+    @pytest.mark.parametrize("top", [1e-300, 1e-200, 1e300])
+    def test_scaled_problem_matches_mpmath(self, top):
+        # a spectrum far from 1 is solved scaled by a power of two; unscaled,
+        # dlaed4 came out 1e-6 off at 1e-300 and 1e-200 and failed at 1e300
+        lambdas = [top, top * 1e-5, top * 1e-10]
+        eig = rankone_full(Spectrum(lambdas), [1.0, 1.0, 1.0])
+        ref_values, ref_basis = mp_eigensolve(lambdas, [[1.0, 1.0, 1.0]], 40)
+        assert np.all(np.abs(eig.values - ref_values) <= 1e-13 * ref_values)
+        assert np.all(np.abs(np.abs(eig.basis) - ref_basis) <= 1e-12 * ref_basis)
 
 
 class TestDeflation:

@@ -382,7 +382,7 @@ class TestLapackBinding:
     def test_cli_import_does_not_bind(self):
         code = (
             "import eigenpert.cli, eigenpert.symmat as s; "
-            "assert s._dgejsv is None and s._dlaed4 is None; "
+            "assert s._dgejsv is None and s._dlaed9 is None; "
             "s.jacobi_eig(s.SymmetricMatrix([[2.0, 1.0], [1.0, 2.0]])); "
             "assert s._dgejsv is not None"
         )
