@@ -3,12 +3,14 @@
 Instances are generated from a SplitMix64 stream plus a Marsaglia polar
 transform, so every vector is reproducible bit-exactly from (seed, recipe)
 alone.  The per-vector stream is derived from (seed, d, m, vector index)
-and deliberately *not* from lambda_1: a scan over the condition-number grid
-reuses the same Gaussian realization at every grid point.
+and deliberately *not* from lambda_1: every condition number of one
+(seed, d, m) uses the same Gaussian realization, which a process draws once
+and shares between `gen_instance`, `certify` and `scan` (see `_grid_recipe`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,12 +124,16 @@ def gen_instance(d: int, m: int, lambda1: float, seed: int) -> Instance:
     return instance(lambda1)
 
 
+@functools.lru_cache(maxsize=bnd.REALIZATION_CACHE_SIZE)
 def _grid_recipe(d: int, m: int, seed: int) -> tuple:
-    """The lambda_1-free part of `gen_instance`, drawn once.
+    """The lambda_1-free part of `gen_instance`, drawn once per process.
 
     Returns the seeded PerturbationSet and a function from lambda_1 to the
-    Instance at that condition number; every such Instance shares the one
-    PerturbationSet.
+    Instance at that condition number.  The pair is cached on (d, m, seed),
+    keeping the `bounds.REALIZATION_CACHE_SIZE` most recently used, so every
+    Instance of one realization, from `gen_instance` or `scan`, shares the
+    one PerturbationSet and, through it, one `BoundParams`.  A d or m that
+    fails validation raises on every call: a raise is not cached.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2 (the ratio grid is undefined at d={d})")

@@ -1,6 +1,17 @@
 import math
 
 import numpy as np
+import pytest
+
+from eigenpert import bounds, harness
+
+
+@pytest.fixture(autouse=True)
+def _fresh_realization_caches():
+    """Start every test with no realization drawn, so call counts and
+    monkeypatched draws do not depend on which tests ran before."""
+    harness._grid_recipe.cache_clear()
+    bounds.BoundParams.from_perturbations.cache_clear()
 
 
 def quadratic_eigenvalues(a: np.ndarray) -> tuple[float, float]:

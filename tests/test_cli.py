@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenpert import cli, harness, symmat
+from eigenpert import bounds, cli, harness, symmat
 from eigenpert.symmat import EigenDecomposition
 from conftest import mp_eigensolve
 
@@ -172,6 +172,14 @@ class TestCmdBounds:
         out = capsys.readouterr().out
         assert "C_m=640" in out
         assert "overall: PASS" in out
+
+    def test_cm_constant_once(self, capsys, monkeypatch):
+        # the header's V, v_inf and C_m are the BoundParams certify built
+        calls = []
+        cm_constant = bounds.cm_constant
+        monkeypatch.setattr(bounds, "cm_constant", lambda p: calls.append(p) or cm_constant(p))
+        assert cli.main(["bounds", str(EXAMPLE_D5)]) == 0
+        assert len(calls) == 1
 
     def test_m0_vacuous_pass(self, capsys, tmp_path):
         f = tmp_path / "m0.txt"

@@ -38,7 +38,9 @@ class TestGenInstance:
 
     def test_bit_exact_regeneration(self):
         a = harness.gen_instance(7, 3, 1e6, seed=123)
+        harness._grid_recipe.cache_clear()
         b = harness.gen_instance(7, 3, 1e6, seed=123)
+        assert a.perts is not b.perts
         assert a.meta == b.meta
         for va, vb in zip(a.perts.vectors, b.perts.vectors):
             assert va.tobytes() == vb.tobytes()
@@ -219,6 +221,47 @@ class TestCertify:
         monkeypatch.setattr(bnd, "cm_constant", lambda p: calls.append(p) or cm_constant(p))
         harness.certify(harness.gen_instance(5, m, 1e4, seed=1))
         assert len(calls) == 1
+
+    def test_grid_draws_each_realization_once(self, monkeypatch):
+        # 125 (d, m, seed) realizations with 11 vectors per (d, seed) over
+        # the ranks; the parent drew them at every lambda_1 (1,375 and 625)
+        draws, cms = [], []
+        draw, cm_constant = harness.gaussian_vector, bnd.cm_constant
+        monkeypatch.setattr(harness, "gaussian_vector", lambda d, s: draws.append(s) or draw(d, s))
+        monkeypatch.setattr(bnd, "cm_constant", lambda p: cms.append(p) or cm_constant(p))
+        assert harness.certify_grid(harness.default_grid()).passed
+        assert (len(draws), len(cms)) == (275, 125)
+
+    def test_realization_cache_is_sound(self):
+        # one shared, read-only realization per (d, m, seed)
+        a = harness.gen_instance(5, 2, 1e2, 3)
+        b = harness.gen_instance(5, 2, 1e8, 3)
+        assert a.perts is b.perts
+        params = bnd.BoundParams.from_perturbations
+        assert params(a.perts) is params(b.perts)
+        with pytest.raises(ValueError, match="read-only"):
+            a.perts.vectors[0][0] = 1.0
+
+        # reports from a cold cache match the warm ones bit for bit
+        def snapshot():
+            return [
+                (r.kind, r.entries.tobytes(), r.passed, r.notes)
+                for pt in harness.default_grid(dims=(2, 5), ms=(0, 1, 3), seeds=(0, 3))
+                for r in harness.certify(harness.gen_instance(pt.d, pt.m, pt.lambda1, pt.seed))
+            ]
+
+        warm = snapshot()
+        assert harness._grid_recipe.cache_info().hits > 0
+        harness._grid_recipe.cache_clear()
+        bnd.BoundParams.from_perturbations.cache_clear()
+        assert snapshot() == warm
+
+        # a rejected recipe is not cached: it raises again
+        for _ in range(2):
+            with pytest.raises(ValueError, match="d must be >= 2"):
+                harness.gen_instance(1, 1, 10.0, 0)
+            with pytest.raises(ValueError, match="m must be >= 0"):
+                harness.gen_instance(3, -1, 10.0, 0)
 
     def test_certify_grid_bytes_pinned(self):
         # sha256 of every default-grid report (entry bytes, verdict, notes)
