@@ -58,7 +58,7 @@ def alpha(a, b):
     """sqrt(min(a, b) / max(a, b)) for positive a, b; symmetric, in (0, 1]."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if (a <= 0.0).any() or (b <= 0.0).any():
+    if (np.fmin(a, b) <= 0.0).any():  # fmin: a nan beside a value <= 0 still raises
         raise ValueError(f"alpha requires positive arguments, got ({a}, {b})")
     return _value(np.sqrt(np.minimum(a, b) / np.maximum(a, b)))
 
@@ -69,8 +69,11 @@ class BoundParams:
 
     `v_bound` is floored at 1/sqrt(d) (used by the eigenvector bounds);
     `v_inf` is the raw max infinity norm (used by the rank-m eigenvalue
-    interval, which is stated without the floor).  `cm` is the rank-m
-    eigenvector constant `cm_constant` of these parameters.
+    interval, which is stated without the floor).  The lambda-free
+    constants of the eigenvector bounds are derived once, here: `cm` is the
+    rank-m constant `cm_constant`, `c1` the m = 1 constant 5 d^2 V^4, and
+    `w`, `w_psi` the refined bound's per-row w = (d - i) V^2 and
+    w psi_inf(w) (read-only arrays over i = 0..d-1).
 
     `from_perturbations` returns one shared instance per PerturbationSet
     object (it hashes by identity, and its vectors are read-only).
@@ -81,6 +84,9 @@ class BoundParams:
     v_bound: float
     v_inf: float
     cm: float = field(init=False, repr=False, compare=False)
+    c1: float = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    w_psi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -94,7 +100,14 @@ class BoundParams:
             )
         if self.v_inf < 0.0:
             raise ValueError("v_inf must be non-negative")
+        w = (self.d - np.arange(self.d)) * _power(self.v_bound, 2)
+        with np.errstate(over="ignore"):  # past the double range it is inf
+            w_psi = w * psi_inf(w)
+        w.flags.writeable = w_psi.flags.writeable = False
         object.__setattr__(self, "cm", cm_constant(self))
+        object.__setattr__(self, "c1", 5.0 * self.d**2 * _power(self.v_bound, 4))
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w_psi", w_psi)
 
     @classmethod
     @functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)
@@ -189,8 +202,9 @@ def psi_inf(w):
         return _value(w + np.sqrt(w * w + 4.0))
 
 
-def _capped(c: float, a):
-    """min(1, c a) for a constant c >= 0 and alpha values a in [0, 1].
+def capped(c: float, a):
+    """min(1, c a) for a constant c >= 0 and alpha values a in [0, 1]: an
+    eigenvector bound from its constant and alpha(lambda_i, lambda_j).
 
     A constant that overflowed to +inf makes the bound vacuous: 1, also where
     alpha underflowed to 0 (where inf * 0 would give nan).
@@ -200,8 +214,7 @@ def _capped(c: float, a):
 
 def eigvec_bound_rank1(spec: Spectrum, p: BoundParams, i, j):
     """min(1, 5 d^2 V^4 alpha(lambda_i, lambda_j)): the m = 1 coordinate bound."""
-    a = alpha(spec.lambdas[i], spec.lambdas[j])
-    return _capped(5.0 * p.d**2 * _power(p.v_bound, 4), a)
+    return capped(p.c1, alpha(spec.lambdas[i], spec.lambdas[j]))
 
 
 def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
@@ -214,14 +227,12 @@ def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
     """
     lami, lamj = spec.lambdas[i], spec.lambdas[j]
     mx, mn = np.maximum(lami, lamj), np.minimum(lami, lamj)
-    v2 = _power(p.v_bound, 2)
+    w, k = p.w[i], p.w_psi[i]
     # outside the regime the denominator may vanish, and past the double
     # range the constants overflow; the mask below drops both
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        applicable = mx > (1.0 + p.d * v2) * mn
+        applicable = mx > (1.0 + p.d * _power(p.v_bound, 2)) * mn
         r = mn / mx
-        w = (p.d - i) * v2
-        k = w * psi_inf(w)
         value = k / (1.0 - (1.0 + w) * r) * np.sqrt(r)
     return _value(np.where(applicable & (k < math.inf), np.minimum(1.0, value), 1.0))
 
@@ -251,8 +262,7 @@ def eigvec_bound_rankm(spec: Spectrum, p: BoundParams, i, j):
 
     A saturated C_m = inf gives the trivial bound 1.
     """
-    a = alpha(spec.lambdas[i], spec.lambdas[j])
-    return _capped(p.cm, a)
+    return capped(p.cm, alpha(spec.lambdas[i], spec.lambdas[j]))
 
 
 class BoundEntry(NamedTuple):
@@ -324,7 +334,8 @@ def make_report(kind: str, entries, notes=()) -> BoundReport:
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
     entries = np.asarray(entries, dtype=ENTRY_DTYPE)
-    passed = bool(passes(entries["slack"], entries["bound"]).all())
+    ok = passes(entries["slack"], entries["bound"])
+    passed = int(np.count_nonzero(ok)) == ok.size  # cheaper than ok.all() on small arrays
     return BoundReport(
         kind=kind, entries=entries.view(np.recarray), passed=passed, notes=tuple(notes)
     )
@@ -336,12 +347,15 @@ def report_from_arrays(kind: str, i, j, observed, bound, side="upper", notes=())
     as -1); `side` is one string for every entry or an array of them."""
     observed = np.asarray(observed, dtype=float)
     bound = np.asarray(bound, dtype=float)
-    side = np.asarray(side)
     entries = np.empty(len(bound), dtype=ENTRY_DTYPE)
     entries["i"] = i
     entries["j"] = -1 if j is None else j
     entries["observed"] = observed
     entries["bound"] = bound
     entries["side"] = side
-    entries["slack"] = np.where(side == "upper", bound - observed, observed - bound)
+    if isinstance(side, str):
+        entries["slack"] = bound - observed if side == "upper" else observed - bound
+    else:
+        upper = np.asarray(side) == "upper"
+        entries["slack"] = np.where(upper, bound - observed, observed - bound)
     return make_report(kind, entries, notes)

@@ -316,9 +316,11 @@ def cmd_verify(args) -> int:
         for pt, kind in summary.failures:
             print(f"  d={pt.d} m={pt.m} lambda1={_fmt(pt.lambda1)} seed={pt.seed} [{kind}]")
         pt = summary.failures[0][0]
+        scale = "" if args.perturb_bound == 1.0 else f" --perturb-bound {_fmt(args.perturb_bound)}"
         print(
             "reproduce: eigenpert verify "
             f"--d {pt.d} --m {pt.m} --lambda1-list {_fmt(pt.lambda1)} --seed-list {pt.seed}"
+            + scale
         )
         print("FAIL")
         return 1

@@ -156,33 +156,6 @@ def _grid_recipe(d: int, m: int, seed: int) -> tuple:
     return perts, instance
 
 
-def gen_rankone_instance(seed: int) -> Instance:
-    """Strict-spectrum rank-one instance for the secular/BNS stress suite.
-
-    d in 2..10, condition number log-uniform in [10^0.5, 10^6], consecutive
-    eigenvalue gaps bounded away from collision, and v entries in +-[1e-3, 2].
-    """
-    rng = SplitMix64(derive_seed(seed, 0xA5C3))
-    d = 2 + int(rng.next_raw() % 9)
-    log_l1 = 0.5 + 5.5 * rng.next_unit()
-    gaps = np.array([0.1 + 0.9 * rng.next_unit() for _ in range(d - 1)])
-    gaps *= log_l1 / float(gaps.sum())
-    expo = np.concatenate([[0.0], np.cumsum(gaps)])[::-1]
-    spectrum = Spectrum(10.0**expo)
-    v = np.array(
-        [
-            (1.0 if rng.next_unit() < 0.5 else -1.0) * (1e-3 + (2.0 - 1e-3) * rng.next_unit())
-            for _ in range(d)
-        ]
-    )
-    return Instance(
-        spectrum=spectrum,
-        perts=PerturbationSet((v,), dim=d),
-        seed=seed,
-        meta=f"rank1-suite(seed={seed})",
-    )
-
-
 def _oracle(instance: Instance) -> EigenDecomposition:
     """Eigendecomposition of D + sqrt(D) (sum_k v_k v_k^T) sqrt(D) from its
     factor F = sqrt(D) [I | v_1 ... v_m], without forming the matrix; a
@@ -204,13 +177,36 @@ def _oracle(instance: Instance) -> EigenDecomposition:
         ) from exc
 
 
+@functools.lru_cache(maxsize=bnd.REALIZATION_CACHE_SIZE)
+def _layout(d: int) -> tuple:
+    """The index arrays of every report at dimension d, built once per d.
+
+    Returns (idx, pair_idx, pair_side, i, j), all read-only: idx = 0..d-1;
+    pair_idx and pair_side list each eigenvalue interval as its (lower,
+    upper) pair of entries; i, j are the row-major (i, j) pairs of the
+    eigenvector kinds.
+    """
+    idx = np.arange(d)
+    pair_idx = np.repeat(idx, 2)
+    pair_side = np.empty(2 * d, dtype="U5")
+    pair_side[0::2] = "lower"
+    pair_side[1::2] = "upper"
+    i, j = np.divmod(np.arange(d * d), d)
+    layout = (idx, pair_idx, pair_side, i, j)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def certify(instance: Instance, bound_scale: float = 1.0) -> list:
     """Evaluate every applicable bound against the oracle decomposition.
 
     Diagonalizes the perturbed matrix with the oracle (cross-checked
     against the secular route when m = 1) and returns one BoundReport per
     applicable inequality.  Each bound kind is evaluated once over the whole
-    index grid.  `bound_scale` multiplies every bound before comparison;
+    index grid, and alpha(lambda_i, lambda_j) once for the rank-m and rank-one
+    coordinate bounds.
+    `bound_scale` multiplies every bound before comparison;
     values below 1 are used by the falsification self-test.  A non-finite
     `bound_scale` raises ValueError: it would make the pass tolerance
     infinite or every slack nan.
@@ -221,6 +217,7 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
     perts = instance.perts
     d = spec.d
     m = perts.m
+    idx, pair_idx, pair_side, i, j = _layout(d)
 
     eig = _oracle(instance)
     if m == 1:
@@ -228,28 +225,23 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
     nus = eig.values
     params = bnd.BoundParams.from_perturbations(perts)
 
-    idx = np.arange(d)
     lo, hi = bnd.eigenvalue_bound_rankm(spec, params, idx)
-    sides = np.empty(2 * d, dtype="U5")  # each interval as its (lower, upper) pair
-    sides[0::2] = "lower"
-    sides[1::2] = "upper"
+    interval = np.empty(2 * d)  # each interval as its (lower, upper) pair
+    interval[0::2] = lo
+    interval[1::2] = hi
+    interval *= bound_scale
     reports = [
         bnd.report_from_arrays(
-            "eigenvalue-rankm",
-            np.repeat(idx, 2),
-            None,
-            np.repeat(nus, 2),
-            np.column_stack([lo, hi]).ravel() * bound_scale,
-            sides,
+            "eigenvalue-rankm", pair_idx, None, nus.repeat(2), interval, pair_side
         )
     ]
 
     if m == 1 and spec.is_strict and not (perts.vectors[0] == 0.0).any():
-        v = perts.vectors[0]
-        b6 = bnd.eigenvalue_bound_rank1(spec, v, idx)
+        b6 = bnd.eigenvalue_bound_rank1(spec, perts.vectors[0], idx)
         notes = [
-            f"refinement wins at i={i}: {b6[i]:.6g} < {hi[i]:.6g}"
-            for i in np.flatnonzero(b6 < hi).tolist()
+            f"refinement wins at i={k}: {b:.6g} < {h:.6g}"
+            for k, (b, h) in enumerate(zip(b6.tolist(), hi.tolist()))
+            if b < h
         ]
         reports.append(
             bnd.report_from_arrays(
@@ -257,17 +249,17 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
             )
         )
 
-    # eigenvector kinds: row-major (i, j) pairs, observed |[e_i]_j|
-    i, j = np.divmod(np.arange(d * d), d)
-    observed = np.abs(eig.basis[j, i])
+    # eigenvector kinds: observed |[e_i]_j| at the row-major (i, j) pairs
+    observed = np.abs(eig.basis.T).ravel()
+    alpha_ij = bnd.alpha(spec.lambdas[i], spec.lambdas[j])
     notes = ["C_m saturated: bound is vacuous (capped at 1)"] if math.isinf(params.cm) else ()
-    rankm = bnd.eigvec_bound_rankm(spec, params, i, j)
+    rankm = bnd.capped(params.cm, alpha_ij)
     reports.append(
         bnd.report_from_arrays("eigvec-rankm", i, j, observed, rankm * bound_scale, notes=notes)
     )
 
     if m == 1:
-        coarse = bnd.eigvec_bound_rank1(spec, params, i, j)
+        coarse = bnd.capped(params.c1, alpha_ij)
         reports.append(
             bnd.report_from_arrays("eigvec-rank1", i, j, observed, coarse * bound_scale)
         )

@@ -274,12 +274,15 @@ def factor_eig(f: np.ndarray) -> EigenDecomposition:
     if not np.isfinite(work).all():
         raise ConvergenceError("the factor has a non-finite entry")
     d, n = work.shape
-    sva, stat, istat = np.empty(d), np.empty(7), np.empty(3, dtype=np.int64)
-    vt = np.empty((d, d))  # row k is column k of V in LAPACK's column-major view
+    # dgejsv's outputs, from one block of 8-byte words: V^T (row k is column
+    # k of V in LAPACK's column-major view), sva, stat and the int64 istat
+    out = np.empty(d * d + d + 10)
+    vt, sva, stat = out[: d * d].reshape(d, d), out[d * d : d * d + d], out[-10:-3]
+    addr = out.ctypes.data
     # JOBU = 'N': no left singular vectors of G, so U is never touched
     info = _bind_dgejsv()(
         _LAPACK_COL_MAJOR, b"C", b"N", b"V", b"N", b"N", b"N", n, d, work.ctypes.data, n,
-        sva.ctypes.data, None, 1, vt.ctypes.data, d, stat.ctypes.data, istat.ctypes.data,
+        addr + 8 * d * d, None, 1, addr, d, addr + 8 * (d * d + d), addr + 8 * (d * d + d + 7),
     )
     if info != 0:
         raise ConvergenceError(f"LAPACK dgejsv failed with info = {info}")

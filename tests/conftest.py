@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from eigenpert import bounds, harness
+from eigenpert.symmat import PerturbationSet, Spectrum
 
 
 @pytest.fixture(autouse=True)
 def _fresh_realization_caches():
-    """Start every test with no realization drawn, so call counts and
-    monkeypatched draws do not depend on which tests ran before."""
+    """Start every test with no realization drawn and no per-dimension
+    layout built, so call counts and monkeypatched draws do not depend on
+    which tests ran before."""
     harness._grid_recipe.cache_clear()
+    harness._layout.cache_clear()
     bounds.BoundParams.from_perturbations.cache_clear()
 
 
@@ -55,3 +58,30 @@ def mp_eigensolve(lambdas, vectors, dps: int):
         values = np.array([float(ev[k]) for k in order])
         basis = np.array([[float(abs(q[j, k])) for k in order] for j in range(d)])
     return values, basis
+
+
+def gen_rankone_instance(seed: int) -> harness.Instance:
+    """Strict-spectrum rank-one instance for the secular/BNS stress suite.
+
+    d in 2..10, condition number log-uniform in [10^0.5, 10^6], consecutive
+    eigenvalue gaps bounded away from collision, and v entries in +-[1e-3, 2].
+    """
+    rng = harness.SplitMix64(harness.derive_seed(seed, 0xA5C3))
+    d = 2 + int(rng.next_raw() % 9)
+    log_l1 = 0.5 + 5.5 * rng.next_unit()
+    gaps = np.array([0.1 + 0.9 * rng.next_unit() for _ in range(d - 1)])
+    gaps *= log_l1 / float(gaps.sum())
+    expo = np.concatenate([[0.0], np.cumsum(gaps)])[::-1]
+    spectrum = Spectrum(10.0**expo)
+    v = np.array(
+        [
+            (1.0 if rng.next_unit() < 0.5 else -1.0) * (1e-3 + (2.0 - 1e-3) * rng.next_unit())
+            for _ in range(d)
+        ]
+    )
+    return harness.Instance(
+        spectrum=spectrum,
+        perts=PerturbationSet((v,), dim=d),
+        seed=seed,
+        meta=f"rank1-suite(seed={seed})",
+    )

@@ -22,7 +22,7 @@ from eigenpert.symmat import (
     build_perturbed,
     jacobi_eig,
 )
-from conftest import s_formula
+from conftest import gen_rankone_instance, s_formula
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCAN_SEED = 42
@@ -84,7 +84,7 @@ def test_criterion_2_eigenvalue_soundness(grid_results):
 def test_criterion_3_rank1_eigenvalue_refinement():
     with criterion(3, "rank-one eigenvalue refinement on 200 strict instances"):
         for seed in range(200):
-            inst = harness.gen_rankone_instance(seed)
+            inst = gen_rankone_instance(seed)
             v = inst.perts.vectors[0]
             lam = inst.spectrum.lambdas
             nus = jacobi_eig(build_perturbed(inst.spectrum, inst.perts)).values
@@ -112,7 +112,7 @@ def test_criterion_5_secular_vs_oracle():
     with criterion(5, "secular/BNS agreement with the Jacobi oracle (500 instances)"):
         t0 = time.perf_counter()
         for seed in range(1000, 1500):
-            inst = harness.gen_rankone_instance(seed)
+            inst = gen_rankone_instance(seed)
             full = rankone_full(inst.spectrum, inst.perts.vectors[0])
             oracle = jacobi_eig(build_perturbed(inst.spectrum, inst.perts))
             rel = np.abs(full.values - oracle.values) / np.abs(oracle.values)
@@ -210,7 +210,7 @@ def _suite_interlacing(trials: int) -> None:
     from eigenpert.rankone import RankOneUpdate, secular_eigenvalues
 
     for seed in range(2000, 2000 + trials):
-        inst = harness.gen_rankone_instance(seed)
+        inst = gen_rankone_instance(seed)
         v = inst.perts.vectors[0]
         lam = inst.spectrum.lambdas
         sol = secular_eigenvalues(RankOneUpdate.from_direction(inst.spectrum, v))
@@ -222,7 +222,7 @@ def _suite_interlacing(trials: int) -> None:
 
 def _suite_orthonormality(trials: int) -> None:
     for seed in range(3000, 3000 + trials):
-        inst = harness.gen_rankone_instance(seed)
+        inst = gen_rankone_instance(seed)
         eig = rankone_full(inst.spectrum, inst.perts.vectors[0])
         gram = eig.basis.T @ eig.basis - np.eye(inst.d)
         assert np.max(np.abs(gram)) <= 1e-9

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eigenpert import bounds as bnd
 from eigenpert.symmat import PerturbationSet, Spectrum, build_perturbed, jacobi_eig
+from conftest import gen_rankone_instance
 
 
 def params(d, m, v_bound, v_inf=None):
@@ -129,8 +130,6 @@ class TestEigenvalueBounds:
         assert bnd.eigenvalue_bound_rank1(spec, v, 1) == pytest.approx(1.0 + 0.7 * 0.7)
 
     def test_rank1_randomized_soundness(self):
-        from eigenpert.harness import gen_rankone_instance
-
         for seed in range(200):
             inst = gen_rankone_instance(seed)
             v = inst.perts.vectors[0]
@@ -156,8 +155,6 @@ def _j_index_reference(lam, v, i):
 
 class TestJIndex:
     def test_array_form_matches_loop_reference(self):
-        from eigenpert.harness import gen_rankone_instance
-
         insts = [gen_rankone_instance(seed) for seed in range(200)]
         cases = [(inst.spectrum, inst.perts.vectors[0]) for inst in insts]
         # near-flat spectra with repeated |v_j|: the smallest maximizing j wins

@@ -250,7 +250,11 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert rc == 1
         assert "failures: 2" in out
-        assert "reproduce: eigenpert verify" in out
+        # the printed command reproduces the failure, scale included
+        (line,) = [x for x in out.splitlines() if x.startswith("reproduce: eigenpert verify ")]
+        assert line.endswith(" --perturb-bound 0.9")
+        assert cli.main(line.split()[2:]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_seed_list_reproduction(self, capsys):
         rc = cli.main(

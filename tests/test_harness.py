@@ -10,7 +10,7 @@ from eigenpert import bounds as bnd
 from eigenpert import harness, symmat
 from eigenpert.bounds import PASS_RTOL
 from eigenpert.symmat import ConvergenceError, build_perturbed, jacobi_eig
-from conftest import s_formula
+from conftest import gen_rankone_instance, s_formula
 
 
 def vector_digest(instance):
@@ -252,9 +252,16 @@ class TestCertify:
 
         warm = snapshot()
         assert harness._grid_recipe.cache_info().hits > 0
+        assert harness._layout.cache_info().hits > 0
         harness._grid_recipe.cache_clear()
         bnd.BoundParams.from_perturbations.cache_clear()
+        harness._layout.cache_clear()
         assert snapshot() == warm
+
+        # the per-dimension layout and the m = 1 constants are read-only
+        for arr in (*harness._layout(5), params(a.perts).w, params(a.perts).w_psi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
 
         # a rejected recipe is not cached: it raises again
         for _ in range(2):
@@ -264,22 +271,28 @@ class TestCertify:
                 harness.gen_instance(3, -1, 10.0, 0)
 
     def test_certify_grid_bytes_pinned(self):
-        # sha256 of every default-grid report (entry bytes, verdict, notes)
-        # and of the records of 27 scans; a change to how the reports or
-        # records are computed must leave every bit where it was
-        reports = hashlib.sha256()
-        for pt in harness.default_grid():
-            for rep in harness.certify(harness.gen_instance(pt.d, pt.m, pt.lambda1, pt.seed)):
-                reports.update(rep.kind.encode() + rep.entries.tobytes())
-                reports.update(repr((rep.passed, rep.notes)).encode())
+        # sha256 of every default-grid report (entry bytes, verdict, notes),
+        # at bound scale 1 and at the self-test's 0.9, and of the records of
+        # 27 scans; a change to how the reports or records are computed must
+        # leave every bit where it was
+        def report_digest(scale):
+            digest = hashlib.sha256()
+            for pt in harness.default_grid():
+                inst = harness.gen_instance(pt.d, pt.m, pt.lambda1, pt.seed)
+                for rep in harness.certify(inst, scale):
+                    digest.update(rep.kind.encode() + rep.entries.tobytes())
+                    digest.update(repr((rep.passed, rep.notes)).encode())
+            return digest.hexdigest()
+
         scans = hashlib.sha256()
         grid = np.logspace(0.0, 16.0, 9)
         for d in (2, 3, 5, 10, 30):
             for m in (0, 1, 2):
                 for j in sorted({2, d}):
                     scans.update(repr(harness.scan(d, m, j, grid, seed=7)).encode())
-        assert [reports.hexdigest(), scans.hexdigest()] == [
+        assert [report_digest(1.0), report_digest(0.9), scans.hexdigest()] == [
             "e239110dc1d70a8dde99687e13cf1e1f1ad3b8823d2191ea62bb89875ed4d3b5",
+            "5e9eb945e5ca5864caf523a5e405547c221b43c2be98f4fddc5696adddb3bbab",
             "c376b99150d347dad7d74b375e5daf9db2365996a2d344c15901febfd712f716",
         ]
 
@@ -423,7 +436,7 @@ class TestFitSlope:
 class TestRankOneSuite:
     def test_recipe_bounds(self):
         for seed in range(50):
-            inst = harness.gen_rankone_instance(seed)
+            inst = gen_rankone_instance(seed)
             assert 2 <= inst.d <= 10
             assert inst.m == 1
             assert inst.spectrum.is_strict
@@ -434,7 +447,7 @@ class TestRankOneSuite:
             assert np.all(np.abs(v) <= 2.0)
 
     def test_regeneration(self):
-        a = harness.gen_rankone_instance(11)
-        b = harness.gen_rankone_instance(11)
+        a = gen_rankone_instance(11)
+        b = gen_rankone_instance(11)
         assert a.spectrum.lambdas.tobytes() == b.spectrum.lambdas.tobytes()
         assert a.perts.vectors[0].tobytes() == b.perts.vectors[0].tobytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigenpert.harness import CROSSCHECK_RTOL, gen_rankone_instance
+from eigenpert.harness import CROSSCHECK_RTOL
 from eigenpert.rankone import (
     DeflationError,
     RankOneUpdate,
@@ -20,7 +20,7 @@ from eigenpert.symmat import (
     build_perturbed,
     jacobi_eig,
 )
-from conftest import align_sign, mp_eigensolve, s_formula
+from conftest import align_sign, gen_rankone_instance, mp_eigensolve, s_formula
 
 
 def update(lams, z):
