@@ -25,13 +25,13 @@ import numpy as np
 
 from . import bounds as bnd
 from . import harness
-from .rankone import DeflationError, SecularBracketError, rankone_full
-from .symmat import ConvergenceError, LapackBindingError, PerturbationSet, Spectrum
+from .rankone import rankone_full
+from .symmat import ConvergenceError, InputError, LapackBindingError, PerturbationSet, Spectrum
 
 CSV_HEADER = "d,m,j,lambda1,ratio,observed,bound_rankm,bound_rank1,seed"
 
 
-class InstanceParseError(ValueError):
+class InstanceParseError(InputError):
     """Instance file rejected; carries the offending line number."""
 
     def __init__(self, line_no: int, message: str):
@@ -202,20 +202,22 @@ def render_bounds_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_eig(args) -> int:
+def _write(path: str, text: str) -> None:
     try:
-        inst = load_instance(args.instance)
-    except (OSError, InstanceParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def cmd_eig(args) -> int:
+    inst = load_instance(args.instance)
     if args.method == "secular":
         if inst.m != 1:
-            print(
-                f"error: --method secular requires exactly one perturbation vector, "
-                f"instance has m={inst.m}",
-                file=sys.stderr,
+            raise InputError(
+                f"--method secular requires exactly one perturbation vector, "
+                f"instance has m={inst.m}"
             )
-            return 2
         eig = rankone_full(inst.spectrum, inst.perts.vectors[0])
     else:
         eig = harness._oracle(inst)
@@ -235,22 +237,13 @@ def _bound_cells(report, n: int) -> list:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except (OSError, InstanceParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = load_instance(args.instance)
     reports = harness.certify(inst)
     by_kind = {r.kind: r for r in reports}
     params = bnd.BoundParams.from_perturbations(inst.perts)
 
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(render_bounds_csv(reports))
-        except OSError as exc:
-            print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
-            return 2
+        _write(args.csv, render_bounds_csv(reports))
 
     print(
         f"instance: d={inst.d} m={inst.m} V={_fmt(params.v_bound)} "
@@ -291,8 +284,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.seeds is not None and args.seeds < 1:
-        print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
-        return 2
+        raise InputError(f"--seeds must be >= 1, got {args.seeds}")
     n_seeds = harness.DEFAULT_N_SEEDS if args.seeds is None else args.seeds
     points = harness.default_grid(
         args.d or harness.DEFAULT_DIMS,
@@ -300,11 +292,7 @@ def cmd_verify(args) -> int:
         args.lambda1_list or harness.DEFAULT_LAMBDA1S,
         args.seed_list or range(n_seeds),
     )
-    try:
-        summary = harness.certify_grid(points, bound_scale=args.perturb_bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summary = harness.certify_grid(points, bound_scale=args.perturb_bound)
     print(f"instances: {summary.n_instances}")
     print(f"reports: {summary.n_reports}")
     print(f"failures: {len(summary.failures)}")
@@ -355,15 +343,10 @@ def cmd_scan(args) -> int:
         try:
             j = int(args.j)
         except ValueError:
-            print(f"error: --j must be an integer or 'last', got {args.j!r}", file=sys.stderr)
-            return 2
+            raise InputError(f"--j must be an integer or 'last', got {args.j!r}") from None
     records = []
-    try:
-        for seed in args.seed:
-            records.extend(harness.scan(args.d, args.m, j, args.lambda1, seed))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for seed in args.seed:
+        records.extend(harness.scan(args.d, args.m, j, args.lambda1, seed))
     fit = None
     fit_note = None
     if args.m == 0:
@@ -379,12 +362,7 @@ def cmd_scan(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+        _write(args.out, text)
     return 0
 
 
@@ -441,20 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: its own exit code (0, or 1 for a violated bound), or
+    one `error:` line on stderr and 2 for rejected input, 3 for a numerical
+    failure or a missing LAPACK routine."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConvergenceError,
-        harness.OracleMismatchError,
-        DeflationError,
-        SecularBracketError,
-    ) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except (OSError, InputError) as exc:
+        message, code = str(exc), 2
+    except ConvergenceError as exc:
+        message, code = f"numerical failure: {exc}", 3
     except LapackBindingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        message, code = str(exc), 3
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

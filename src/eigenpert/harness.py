@@ -21,6 +21,7 @@ from .rankone import RankOneUpdate, secular_eigenvalues
 from .symmat import (
     ConvergenceError,
     EigenDecomposition,
+    InputError,
     PerturbationSet,
     Spectrum,
     factor_eig,
@@ -38,7 +39,7 @@ DEFAULT_LAMBDA1S = (1.0, 1e2, 1e4, 1e6, 1e8)
 DEFAULT_N_SEEDS = 5
 
 
-class OracleMismatchError(RuntimeError):
+class OracleMismatchError(ConvergenceError):
     """Jacobi and secular routes disagree beyond tolerance on the same input."""
 
 
@@ -136,16 +137,16 @@ def _grid_recipe(d: int, m: int, seed: int) -> tuple:
     fails validation raises on every call: a raise is not cached.
     """
     if d < 2:
-        raise ValueError(f"d must be >= 2 (the ratio grid is undefined at d={d})")
+        raise InputError(f"d must be >= 2 (the ratio grid is undefined at d={d})")
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise InputError(f"m must be >= 0, got {m}")
     expo = np.array([(d - 1 - j) / (d - 1) for j in range(d)])
     vectors = tuple(gaussian_vector(d, derive_seed(seed, d, m, k)) for k in range(m))
     perts = PerturbationSet(vectors, dim=d)
 
     def instance(lambda1: float) -> Instance:
         if lambda1 < 1.0:
-            raise ValueError(f"lambda1 must be >= 1, got {lambda1}")
+            raise InputError(f"lambda1 must be >= 1, got {lambda1}")
         return Instance(
             spectrum=Spectrum(lambda1**expo),
             perts=perts,
@@ -208,11 +209,11 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
     coordinate bounds.
     `bound_scale` multiplies every bound before comparison;
     values below 1 are used by the falsification self-test.  A non-finite
-    `bound_scale` raises ValueError: it would make the pass tolerance
+    `bound_scale` raises InputError: it would make the pass tolerance
     infinite or every slack nan.
     """
     if not math.isfinite(bound_scale):
-        raise ValueError(f"bound scale must be finite, got {bound_scale!r}")
+        raise InputError(f"bound scale must be finite, got {bound_scale!r}")
     spec = instance.spectrum
     perts = instance.perts
     d = spec.d
@@ -391,13 +392,13 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
     """
     grid = [float(x) for x in lambda1_grid]
     if not grid:
-        raise ValueError("lambda1 grid is empty")
+        raise InputError("lambda1 grid is empty")
     if any(x < 1.0 for x in grid):
-        raise ValueError("lambda1 grid values must be >= 1")
+        raise InputError("lambda1 grid values must be >= 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda1 grid must be strictly ascending")
+        raise InputError("lambda1 grid must be strictly ascending")
     if not 2 <= j <= d:
-        raise ValueError(f"j must lie in 2..d={d}, got {j}")
+        raise InputError(f"j must lie in 2..d={d}, got {j}")
 
     perts, instance = _grid_recipe(d, m, seed)
     params = bnd.BoundParams.from_perturbations(perts)

@@ -48,11 +48,11 @@ POLE_PROXIMITY_RTOL = 1e-14
 _RMIN = 2.0**-485
 
 
-class SecularBracketError(RuntimeError):
+class SecularBracketError(ConvergenceError):
     """A secular root left its interlacing interval."""
 
 
-class DeflationError(RuntimeError):
+class DeflationError(ConvergenceError):
     """A secular root landed on an undeflated pole: thresholds misconfigured."""
 
 

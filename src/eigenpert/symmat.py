@@ -33,7 +33,11 @@ _dgejsv = None
 _dlaed9 = None
 
 
-class DimensionMismatchError(ValueError):
+class InputError(ValueError):
+    """Input from outside the program is rejected: bad data, not a fault."""
+
+
+class DimensionMismatchError(InputError):
     """A perturbation vector does not match the spectrum dimension."""
 
     def __init__(self, message: str, vector_index: int | None = None):
@@ -43,7 +47,7 @@ class DimensionMismatchError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """The Jacobi SVD failed, or an input, an eigenvalue or an eigenvector
-    norm is not finite."""
+    norm is not finite; the base of every numerical failure."""
 
 
 class LapackBindingError(RuntimeError):
@@ -67,16 +71,16 @@ class Spectrum:
     def __post_init__(self):
         arr = np.array(self.lambdas, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("spectrum must be a non-empty 1-D sequence")
+            raise InputError("spectrum must be a non-empty 1-D sequence")
         if not np.isfinite(arr).all():
-            raise ValueError("spectrum entries must be finite")
+            raise InputError("spectrum entries must be finite")
         if not (arr > 0.0).all():
             bad = int(np.argmin(arr))
-            raise ValueError(f"spectrum entries must be positive; lambda[{bad}] = {arr[bad]}")
+            raise InputError(f"spectrum entries must be positive; lambda[{bad}] = {arr[bad]}")
         rises = arr[1:] > arr[:-1]
         if rises.any():
             bad = int(np.argmax(rises))
-            raise ValueError(f"spectrum must be non-increasing; violated at index {bad}")
+            raise InputError(f"spectrum must be non-increasing; violated at index {bad}")
         arr.flags.writeable = False
         object.__setattr__(self, "lambdas", arr)
 
@@ -105,7 +109,7 @@ class PerturbationSet:
             if arr.ndim != 1:
                 raise DimensionMismatchError(f"vector {k} is not 1-D", vector_index=k)
             if not np.isfinite(arr).all():
-                raise ValueError(f"vector {k} has non-finite entries")
+                raise InputError(f"vector {k} has non-finite entries")
             if d is None:
                 d = int(arr.size)
             elif arr.size != d:
@@ -115,9 +119,9 @@ class PerturbationSet:
             arr.flags.writeable = False
             vecs.append(arr)
         if d is None:
-            raise ValueError("dim is required when the vector list is empty")
+            raise InputError("dim is required when the vector list is empty")
         if d < 1:
-            raise ValueError("dim must be >= 1")
+            raise InputError("dim must be >= 1")
         object.__setattr__(self, "vectors", tuple(vecs))
         object.__setattr__(self, "dim", int(d))
 

@@ -1,14 +1,23 @@
+import contextlib
+import ctypes
+import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eigenpert import bounds, cli, harness, symmat
 from eigenpert.symmat import EigenDecomposition
 from conftest import mp_eigensolve
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 GOLDEN_100 = INSTANCES / "golden_d2_lambda100.txt"
@@ -653,3 +662,206 @@ class TestCmdScan:
                        "--lambda1-list", "0.5"])
         assert rc == 2
         assert "lambda1" in capsys.readouterr().err
+
+
+SECULAR_ZNORM_OVERFLOW = "lambdas = [3.0, 2.0]\nvector = [1e200, 1e200]\n"
+
+# Every rejection `cli.main` makes, one case per site: argv and instance text
+# ({f} is the instance file, {lib} numpy's OpenBLAS and {dlerror} the loader's
+# message for the missing symbol), the symmat attributes
+# patched first, the exit code, and the exact stderr (stdout stays empty).
+REJECTIONS = {
+    "eig-missing-file": (
+        ["eig", "/nonexistent/instance.txt"], None, None, 2,
+        "error: [Errno 2] No such file or directory: '/nonexistent/instance.txt'\n"),
+    "eig-parse": (
+        ["eig", "{f}"], "dim = 2\nlambdas = [1.0, 2.0]\n", None, 2,
+        "error: line 2: lambdas[1] = 1.0 < lambdas[2] = 2.0: not descending\n"),
+    "eig-secular-m2": (
+        ["eig", "{f}", "--method", "secular"],
+        "lambdas = [2.0, 1.0]\nvector = [1.0, 1.0]\nvector = [0.5, 1.0]\n", None, 2,
+        "error: --method secular requires exactly one perturbation vector, instance has m=2\n"),
+    "bounds-missing-file": (
+        ["bounds", "/nonexistent/instance.txt"], None, None, 2,
+        "error: [Errno 2] No such file or directory: '/nonexistent/instance.txt'\n"),
+    "bounds-parse": (
+        ["bounds", "{f}"], "lambdas = []\n", None, 2,
+        "error: line 1: lambdas must be a non-empty array\n"),
+    "bounds-csv-unwritable": (
+        ["bounds", "{f}", "--csv", "/nonexistent/x.csv"],
+        "lambdas = [100.0, 1.0]\nvector = [1.0, 1.0]\n", None, 2,
+        "error: cannot write /nonexistent/x.csv: "
+        "[Errno 2] No such file or directory: '/nonexistent/x.csv'\n"),
+    "verify-seeds-0": (
+        ["verify", "--seeds", "0"], None, None, 2, "error: --seeds must be >= 1, got 0\n"),
+    "verify-m-negative": (
+        ["verify", "--d", "2", "--m", "-1", "--seeds", "1"], None, None, 2,
+        "error: m must be >= 0, got -1\n"),
+    "verify-d-1": (
+        ["verify", "--d", "1", "--m", "1", "--seeds", "1"], None, None, 2,
+        "error: d must be >= 2 (the ratio grid is undefined at d=1)\n"),
+    "verify-lambda1-below-1": (
+        ["verify", "--d", "2", "--m", "0", "--seeds", "1", "--lambda1-list", "0.5"], None, None, 2,
+        "error: lambda1 must be >= 1, got 0.5\n"),
+    "verify-lambda1-inf": (
+        ["verify", "--d", "2", "--m", "1", "--seeds", "1", "--lambda1-list", "inf"], None, None, 2,
+        "error: spectrum entries must be finite\n"),
+    "verify-lambda1-nan": (
+        ["verify", "--d", "2", "--m", "1", "--seeds", "1", "--lambda1-list", "nan"], None, None, 2,
+        "error: spectrum entries must be finite\n"),
+    "verify-perturb-bound-inf": (
+        ["verify", "--d", "2", "--m", "1", "--seeds", "1", "--perturb-bound", "inf"], None, None,
+        2, "error: bound scale must be finite, got inf\n"),
+    "scan-j-word": (
+        ["scan", "--d", "3", "--m", "1", "--j", "second", "--lambda1", "1e2:1e4:3"], None, None,
+        2, "error: --j must be an integer or 'last', got 'second'\n"),
+    "scan-j-out-of-range": (
+        ["scan", "--d", "3", "--m", "1", "--j", "7", "--lambda1", "1e2:1e4:3"], None, None, 2,
+        "error: j must lie in 2..d=3, got 7\n"),
+    "scan-m-negative": (
+        ["scan", "--d", "3", "--m", "-1", "--j", "2", "--lambda1", "1e2:1e6:3"], None, None, 2,
+        "error: m must be >= 0, got -1\n"),
+    "scan-flat-grid": (
+        ["scan", "--d", "3", "--m", "1", "--j", "2", "--lambda1", "1e2:1e2:3"], None, None, 2,
+        "error: lambda1 grid must be strictly ascending\n"),
+    "scan-out-unwritable": (
+        ["scan", "--d", "2", "--m", "1", "--j", "2", "--lambda1", "1e2:1e4:3",
+         "--out", "/nonexistent/scan.csv"], None, None, 2,
+        "error: cannot write /nonexistent/scan.csv: "
+        "[Errno 2] No such file or directory: '/nonexistent/scan.csv'\n"),
+    "oracle-overflow": (
+        ["eig", "{f}"], OVERFLOWING_EIGENVALUE, None, 3,
+        "error: numerical failure: oracle failed on instance seed=0 meta=file:{f}: "
+        "an eigenvalue overflows: singular value 2.2360679774997897e+154 squared\n"),
+    "secular-overflow": (
+        ["eig", "{f}", "--method", "secular"], SECULAR_ZNORM_OVERFLOW, None, 3,
+        "error: numerical failure: an eigenvalue overflows: ||z||^2 exceeds the double range\n"),
+    "oracle-mismatch": (
+        ["verify", "--d", "3", "--m", "1", "--lambda1-list", "1e100", "--seeds", "1"], None, None,
+        3, "error: numerical failure: secular and Jacobi eigenvalues disagree at index 1: "
+        "1e+50 vs 1.1523583053740006e+50 (instance seed=0, meta=grid(d=3,m=1,lambda1=1e+100))\n"),
+    "deflation": (
+        ["eig", "{f}", "--method", "secular"],
+        "lambdas = [2.0, 1.0]\nvector = [0.7071067811865476, 1e-11]\n", None, 3,
+        "error: numerical failure: secular root nu=1.0 lies within 1e-14 relative of "
+        "undeflated pole lambda[1]=1.0; deflation thresholds are misconfigured\n"),
+    "lapack-binding": (
+        ["verify", "--d", "2", "--m", "1", "--seeds", "1"], None,
+        {"DGEJSV_SYMBOL": "nope", "_dgejsv": None}, 3,
+        "error: cannot bind nope from {lib}: {dlerror}\n"),
+}
+
+
+@st.composite
+def instance_files(draw):
+    """A valid instance file and its m: d <= 6, m <= 3, lambda from 5e-324 to
+    1e308 with ties, v over the double range with zeros."""
+    d = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.floats(5e-324, 1e308), min_size=1, max_size=d))
+    lambdas = sorted(draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d)), reverse=True)
+    entry = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+    vectors = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=3))
+    text = f"lambdas = {lambdas!r}\n" + "".join(f"vector = {v!r}\n" for v in vectors)
+    return text, len(vectors)
+
+
+def _missing_symbol_fields() -> dict:
+    """{lib} and {dlerror} for the symbol `nope` of numpy's OpenBLAS."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    lib = str(sorted(libdir.glob(symmat.OPENBLAS_GLOB))[0])
+    try:
+        ctypes.CDLL(lib).nope
+    except AttributeError as exc:
+        return {"lib": lib, "dlerror": str(exc)}
+    raise AssertionError(f"{lib} exports nope")
+
+
+class TestRejectionContract:
+    @pytest.mark.parametrize("case", REJECTIONS)
+    @pytest.mark.filterwarnings("error")
+    def test_rejection_bytes_pinned(self, capsys, monkeypatch, tmp_path, case):
+        args, text, patch, code, stderr = REJECTIONS[case]
+        f = tmp_path / "instance.txt"
+        if text is not None:
+            f.write_text(text)
+        for name, value in (patch or {}).items():
+            monkeypatch.setattr(symmat, name, value)
+        assert cli.main([a.format(f=f) for a in args]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        fields = _missing_symbol_fields() if patch else {}
+        assert captured.err == stderr.format(f=f, **fields)
+
+    @given(instance_files())
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_valid_files_verdict_or_one_error_line(self, tmp_path_factory, instance):
+        # every command answers or refuses on one line; exit 1 stays allowed
+        # until the pass rule and the eigenvalue checks stop producing false
+        # FAILs on such files
+        text, m = instance
+        f = tmp_path_factory.mktemp("fuzz") / "instance.txt"
+        f.write_text(text)
+        commands = [["eig"], ["bounds"]]
+        if m == 1:
+            commands.append(["eig", "--method", "secular"])
+        for cmd in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([cmd[0], str(f), *cmd[1:]])
+            assert code in (0, 1, 2, 3)
+            lines = err.getvalue().splitlines()
+            if code >= 2:
+                assert len(lines) == 1 and lines[0].startswith("error: "), (cmd, lines)
+            else:
+                assert lines == [], (cmd, lines)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["verify", "--d", "2", "--m", "1", "--seeds", "1"],
+         ["scan", "--d", "3", "--m", "1", "--j", "2", "--lambda1", "1e2:1e4:3"]],
+        ids=["verify", "scan"],
+    )
+    def test_internal_value_error_is_not_bad_input(self, capsys, monkeypatch, args):
+        # an invariant that fails inside the program is a fault, not a
+        # rejection: it propagates instead of exiting 2 as bad input
+        def broken(inst):
+            raise ValueError("basis is not orthonormal: residual 1.133e-04")
+
+        monkeypatch.setattr(harness, "_oracle", broken)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            cli.main(args)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("case", ["verify-seeds-0", "secular-overflow"])
+    def test_module_entry_point_exit_code(self, tmp_path, case):
+        args, text, _, code, stderr = REJECTIONS[case]
+        f = tmp_path / "instance.txt"
+        if text is not None:
+            f.write_text(text)
+        proc = _run_module([a.format(f=f) for a in args])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", stderr.format(f=f))
+
+    def test_module_entry_point_help(self):
+        proc = _run_module(["--help"])
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: eigenpert ")
+        assert proc.stderr == ""
+
+
+def _run_module(args):
+    """`python -W error -m eigenpert.cli ARGS` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "eigenpert.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
