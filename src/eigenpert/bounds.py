@@ -65,56 +65,46 @@ def alpha(a, b):
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Dimension, number of rank-one terms, and the two infinity-norm constants.
-
-    `v_bound` is floored at 1/sqrt(d) (used by the eigenvector bounds);
-    `v_inf` is the raw max infinity norm (used by the rank-m eigenvalue
-    interval, which is stated without the floor).  The lambda-free
-    constants of the eigenvector bounds are derived once, here: `cm` is the
-    rank-m constant `cm_constant`, `c1` the m = 1 constant 5 d^2 V^4, and
-    `w`, `w_psi` the refined bound's per-row w = (d - i) V^2 and
-    w psi_inf(w) (read-only arrays over i = 0..d-1).
+    """The constants every bound on one realization is stated with, derived
+    from its perturbations: the dimension `d`, the number `m` of rank-one
+    terms, the raw max infinity norm `v_inf` (used by the rank-m eigenvalue
+    interval) and `v_bound` = V = max(1/sqrt(d), v_inf) (used by the
+    eigenvector bounds).  The lambda-free constants of the eigenvector
+    bounds are derived once, here: `cm` is the rank-m constant
+    `cm_constant`, `c1` the m = 1 constant 5 d^2 V^4, and `w`, `w_psi` the
+    refined bound's per-row w = (d - i) V^2 and w psi_inf(w) (read-only
+    arrays over i = 0..d-1).
 
     `from_perturbations` returns one shared instance per PerturbationSet
     object (it hashes by identity, and its vectors are read-only).
     """
 
-    d: int
-    m: int
-    v_bound: float
-    v_inf: float
+    perts: PerturbationSet = field(repr=False)
+    d: int = field(init=False)
+    m: int = field(init=False)
+    v_bound: float = field(init=False)
+    v_inf: float = field(init=False)
     cm: float = field(init=False, repr=False, compare=False)
     c1: float = field(init=False, repr=False, compare=False)
     w: np.ndarray = field(init=False, repr=False, compare=False)
     w_psi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
-        floor = 1.0 / math.sqrt(self.d)
-        if self.v_bound < floor * (1.0 - 1e-12):
-            raise ValueError(
-                f"v_bound {self.v_bound} is below the 1/sqrt(d) floor {floor}"
-            )
-        if self.v_inf < 0.0:
-            raise ValueError("v_inf must be non-negative")
-        w = (self.d - np.arange(self.d)) * _power(self.v_bound, 2)
+        d, v_inf = self.perts.dim, self.perts.v_inf
+        v_bound = max(1.0 / math.sqrt(d), v_inf)
+        w = (d - np.arange(d)) * _power(v_bound, 2)
         with np.errstate(over="ignore"):  # past the double range it is inf
             w_psi = w * psi_inf(w)
         w.flags.writeable = w_psi.flags.writeable = False
-        object.__setattr__(self, "cm", cm_constant(self))
-        object.__setattr__(self, "c1", 5.0 * self.d**2 * _power(self.v_bound, 4))
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "w_psi", w_psi)
+        for name, value in (("d", d), ("m", self.perts.m), ("v_bound", v_bound), ("v_inf", v_inf),
+                            ("c1", 5.0 * d**2 * _power(v_bound, 4)), ("w", w), ("w_psi", w_psi)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "cm", cm_constant(self))  # reads d, m and v_bound
 
     @classmethod
     @functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)
     def from_perturbations(cls, perts: PerturbationSet) -> "BoundParams":
-        v_inf = perts.v_inf
-        v_bound = max(1.0 / math.sqrt(perts.dim), v_inf)
-        return cls(d=perts.dim, m=perts.m, v_bound=v_bound, v_inf=v_inf)
+        return cls(perts)
 
 
 def eigenvalue_bound_rankm(spec: Spectrum, p: BoundParams, i) -> tuple:

@@ -22,7 +22,6 @@ vanishes.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -96,11 +95,13 @@ class SecularSolution:
     """Updated eigenvalues (descending) plus deflation bookkeeping.
 
     `deflated[k]` is True where the update left the original eigenvalue
-    fixed.  Over the active coordinates (lambda descending), root k lies at
-    `_offset[k]` = lambda[near] - nu_k from its nearer pole near =
-    `_near[k]`, in units of `_scale`; the pole distances are formed from
-    these on first use.  `_eigenvectors` forms the eigenvectors, and the
-    rotated weights and the Givens rotations serve the full eigenbasis.
+    fixed.  Over the active coordinates (lambda descending), `_dist[k, j]`
+    is the pole distance (lambda[active j] - nu_k) / `_scale`, formed once
+    as (lambda_j - lambda_near) + (lambda_near - nu_k) from root k's offset
+    to its nearer pole: the first difference is exact where the two poles
+    are close, so every distance keeps full relative accuracy.
+    `_eigenvectors` forms the eigenvectors, and the rotated weights and the
+    Givens rotations serve the full eigenbasis.
     """
 
     values: np.ndarray
@@ -108,8 +109,7 @@ class SecularSolution:
     _slots: np.ndarray = field(repr=False)            # sorted position -> coordinate
     _active: np.ndarray = field(repr=False)           # active coordinates, lambda descending
     _la: np.ndarray = field(repr=False)               # lambda[active] / _scale
-    _near: np.ndarray = field(repr=False)
-    _offset: np.ndarray = field(repr=False)
+    _dist: np.ndarray = field(repr=False)             # [k, j]: pole distance / _scale
     _scale: float = field(repr=False)
     _z_rot: np.ndarray = field(repr=False)
     _rotations: tuple = field(repr=False)
@@ -122,14 +122,6 @@ class SecularSolution:
     @property
     def d(self) -> int:
         return int(self.values.size)
-
-    @functools.cached_property
-    def _dist(self) -> np.ndarray:
-        """[k, j]: (lambda[active j] - nu_k) / _scale, as
-        (lambda_j - lambda_near) + offset_k: the first difference is exact
-        where the two poles are close, so every distance keeps full relative
-        accuracy."""
-        return (self._la - self._la[self._near, None]) + self._offset[:, None]
 
     @property
     def _poles(self) -> np.ndarray:
@@ -310,14 +302,14 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
     order = np.argsort(-slot_values, kind="stable")
 
     values = slot_values[order]
+    la = lam[act] / scale
     sol = SecularSolution(
         values=values,
         deflated=deflated[order].copy(),
         _slots=order.copy(),
         _active=act,
-        _la=lam[act] / scale,
-        _near=near,
-        _offset=offset,
+        _la=la,
+        _dist=(la - la[near, None]) + offset[:, None],
         _scale=scale,
         _z_rot=z_rot,
         _rotations=tuple(rotations),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -11,8 +12,9 @@ from eigenpert.symmat import PerturbationSet, Spectrum, build_perturbed, jacobi_
 from conftest import gen_rankone_instance
 
 
-def params(d, m, v_bound, v_inf=None):
-    return bnd.BoundParams(d=d, m=m, v_bound=v_bound, v_inf=v_bound if v_inf is None else v_inf)
+def params(d, m, v_bound):
+    """The BoundParams of m directions of length d with every entry v_bound."""
+    return bnd.BoundParams(PerturbationSet([np.full(d, v_bound)] * m, dim=d))
 
 
 class TestAlpha:
@@ -96,7 +98,7 @@ class TestPsiInf:
 class TestEigenvalueBounds:
     def test_rankm_no_perturbation(self):
         spec = Spectrum([5.0, 2.0])
-        lo, hi = bnd.eigenvalue_bound_rankm(spec, params(2, 0, 1.0, v_inf=0.0), 0)
+        lo, hi = bnd.eigenvalue_bound_rankm(spec, params(2, 0, 1.0), 0)
         assert (lo, hi) == (5.0, 5.0)
 
     def test_rankm_paper_instance(self):
@@ -251,7 +253,7 @@ class TestEigvecBounds:
 
     def test_rankm_m0_reduces_to_alpha(self):
         spec = Spectrum([4.0, 1.0])
-        p = params(2, 0, 1.0, v_inf=0.0)
+        p = params(2, 0, 1.0)
         assert bnd.eigvec_bound_rankm(spec, p, 0, 0) == 1.0
         assert bnd.eigvec_bound_rankm(spec, p, 0, 1) == pytest.approx(0.5)
 
@@ -384,9 +386,19 @@ class TestCmConstant:
 
 
 class TestBoundParams:
-    def test_floor_enforced(self):
-        with pytest.raises(ValueError, match="floor"):
+    def test_built_from_perturbations_alone(self):
+        # perts is the one init parameter, and V = max(1/sqrt(d), v_inf)
+        assert [f.name for f in dataclasses.fields(bnd.BoundParams) if f.init] == ["perts"]
+        with pytest.raises(TypeError):
             bnd.BoundParams(d=4, m=1, v_bound=0.1, v_inf=0.1)
+        for v, v_bound in ((0.1, 0.5), (0.75, 0.75)):
+            perts = PerturbationSet([np.full(4, v)])
+            p = bnd.BoundParams(perts)
+            assert (p.d, p.m, p.v_inf, p.v_bound) == (4, 1, v, v_bound)
+            shared = bnd.BoundParams.from_perturbations(perts)
+            assert p == shared and (p.cm, p.c1) == (shared.cm, shared.c1)
+            assert p.w.tobytes() == shared.w.tobytes()
+            assert p.w_psi.tobytes() == shared.w_psi.tobytes()
 
     def test_from_perturbations(self):
         perts = PerturbationSet([np.array([0.1, -0.2])])

@@ -3,6 +3,8 @@ import ctypes
 import io
 import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,13 @@ def eig_values(out):
     """The eigenvalues printed by `eigenpert eig`."""
     lines = out.splitlines()
     return [float(line.split("=", 1)[1]) for line in lines if line.startswith("eigenvalue ")]
+
+
+def bounds_nus(out):
+    """The nu_i column of the eigenvalue table printed by `eigenpert bounds`."""
+    lines = out.splitlines()
+    rows = lines[lines.index("eigenvalues:") + 2 : lines.index("eigenvector coordinates:")]
+    return [float(row.split()[1]) for row in rows]
 
 
 class TestInstanceFormat:
@@ -221,6 +230,32 @@ class TestCmdBounds:
         assert captured.err == ""
         assert "  2  1.5e-300  1e-300  3e-300  2e-300  ok\n" in captured.out
         assert captured.out.endswith("overall: PASS\n")
+
+    @pytest.mark.parametrize(
+        "lambdas, vector",
+        [([1.0] * 4, [-2.161505718645157e16, -2.161505718645157e16, 2.22775110140504e16, 0.0]),
+         ([0.4210621756553089] * 3,
+          [3.780620067088606e16, 0.4210621756553089, 3.780620067088606e16])],
+        ids=["flat-d4", "flat-d3"],
+    )
+    def test_wrong_oracle_eigenvalue_never_passes(self, capsys, tmp_path, lambdas, vector):
+        # [I | v] is ill-conditioned, and the oracle puts a low eigenvalue
+        # well off lambda (0.33 and 0.21 where it is 1 and 0.42): bounds
+        # refuses the file, or every nu it prints is right
+        f = tmp_path / "flat.txt"
+        f.write_text(f"lambdas = {lambdas!r}\nvector = {vector!r}\n")
+        code = cli.main(["bounds", str(f)])
+        captured = capsys.readouterr()
+        if code == 3:
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            return
+        # a flat spectrum lambda keeps lambda d - 1 times and adds lambda ||v||^2 to one
+        lam = lambdas[0]
+        exact = [lam * (1.0 + math.fsum(x * x for x in vector))] + [lam] * (len(lambdas) - 1)
+        assert code in (0, 1)
+        assert bounds_nus(captured.out) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
     def test_parse_error_exit(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
@@ -853,6 +888,44 @@ class TestRejectionContract:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: eigenpert ")
         assert proc.stderr == ""
+
+
+def readme_commands():
+    """Every `eigenpert ...` line inside README's code fences."""
+    commands, fenced = [], False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("eigenpert "):
+            commands.append(line)
+    return commands
+
+
+# Options that collect every occurrence (argparse's append action); any
+# other option keeps only its last occurrence
+APPEND_OPTIONS = {"verify": {"--d", "--m"}}
+
+
+class TestReadmeCommands:
+    def test_readme_commands_run(self, capsys, monkeypatch, tmp_path):
+        # each command parses, repeats no option whose earlier value argparse
+        # would drop, and exits 1 where marked `# expected to FAIL`, 0 elsewhere
+        twice = cli.build_parser().parse_args(["verify", "--d", "2", "--d", "3", "--m", "0",
+                                               "--m", "1"])
+        assert (twice.d, twice.m) == ([2, 3], [0, 1])
+        commands = readme_commands()
+        assert len(commands) == 8
+        shutil.copytree(INSTANCES, tmp_path / "instances")
+        monkeypatch.chdir(tmp_path)
+        for line in commands:
+            argv = shlex.split(line, comments=True)[1:]
+            cli.build_parser().parse_args(argv)
+            options = [tok.split("=", 1)[0] for tok in argv if tok.startswith("--")]
+            repeated = {o for o in options if options.count(o) > 1}
+            assert repeated <= APPEND_OPTIONS.get(argv[0], set()), line
+            expected = 1 if "# expected to FAIL" in line else 0
+            assert cli.main(argv) == expected, line
+            assert capsys.readouterr().err == "", line
 
 
 def _run_module(args):
