@@ -31,10 +31,6 @@ CM_SATURATION = 1e300
 REALIZATION_CACHE_SIZE = 256
 
 
-class JIndexError(ValueError):
-    """Rank-one eigenvalue refinement is not applicable; use the rank-m bound."""
-
-
 def _value(x):
     """A Python float for a scalar result, the array itself otherwise."""
     return float(x) if np.ndim(x) == 0 else x
@@ -117,56 +113,42 @@ def eigenvalue_bound_rankm(spec: Spectrum, p: BoundParams, i) -> tuple:
         return _value(lam), _value(lam * (1.0 + p.m * p.d * _power(p.v_inf, 2)))
 
 
-def j_index(spec: Spectrum, v, i):
-    """The coordinate the rank-one eigenvalue refinement pivots on.
+def eigenvalue_bound_rank1(spec: Spectrum, p: BoundParams, i):
+    """lambda_i (1 + (d-i) vinf |v_{j_i}|): the refined upper bound for m = 1,
+    or None where it does not apply (m != 1, a repeated eigenvalue or a zero
+    entry of v); the rank-m interval covers those.
 
-    Smallest j in {i..d-1} maximizing |v_j| subject to
+    The pivot j_i is the smallest j in {i..d-1} maximizing |v_j| subject to
         lambda_j >= lambda_i (1 - sqrt(lambda_j/lambda_i) (d-i) vinf |v_j|)
     (0-based i, so d-i counts the trailing coordinates including i).
     The feasible set always contains j = i.  For an array i, one feasibility
     mask over the rows i and the columns j >= i, then a masked argmax whose
     first maximum is the smallest j.
-    """
-    lam = spec.lambdas
-    d = spec.d
-    v = np.asarray(v, dtype=float)
-    i = np.asarray(i)
-    out_of_range = (i < 0) | (i >= d)
-    if out_of_range.any():
-        raise IndexError(f"index {i[out_of_range].flat[0]} out of range for d={d}")
-    if not spec.is_strict:
-        raise JIndexError(
-            "spectrum has repeated eigenvalues; use the rank-m eigenvalue bound"
-        )
-    if (v == 0.0).any():
-        raise JIndexError(
-            "perturbation vector has zero entries; use the rank-m eigenvalue bound"
-        )
-    mag = np.abs(v)
-    vinf = float(mag.max())
-    lam_i = lam[i][..., None]
-    tail = (d - i)[..., None]
-    # lambda_j / lambda_i may overflow in the columns j < i, which the mask drops
-    with np.errstate(over="ignore"):
-        threshold = lam_i * (1.0 - np.sqrt(lam / lam_i) * tail * vinf * mag)
-    feasible = (np.arange(d) >= i[..., None]) & (lam >= threshold)
-    ji = np.argmax(np.where(feasible, mag, -1.0), axis=-1)
-    return int(ji) if np.ndim(ji) == 0 else ji
-
-
-def eigenvalue_bound_rank1(spec: Spectrum, v, i):
-    """lambda_i (1 + (d-i) vinf |v_{j_i}|): the refined upper bound for m = 1.
 
     Never looser than the rank-m interval at m = 1; strictly tighter whenever
     |v_{j_i}| < d vinf / (d - i).
     """
-    v = np.asarray(v, dtype=float)
+    if p.m != 1 or not spec.is_strict:
+        return None
+    mag = np.abs(p.perts.vectors[0])
+    if not mag.all():
+        return None
+    lam = spec.lambdas
+    d = spec.d
     i = np.asarray(i)
-    ji = j_index(spec, v, i)
-    vinf = float(np.abs(v).max())
-    # past the double range the bound is +inf, vacuous like a saturated C_m
+    out_of_range = (i < 0) | (i >= d)
+    if out_of_range.any():
+        raise IndexError(f"index {i[out_of_range].flat[0]} out of range for d={d}")
+    lam_i = lam[i][..., None]
+    tail = (d - i)[..., None]
+    # lambda_j / lambda_i may overflow in the columns j < i, which the mask
+    # drops; past the double range the bound is +inf, vacuous like a
+    # saturated C_m
     with np.errstate(over="ignore"):
-        return _value(spec.lambdas[i] * (1.0 + (spec.d - i) * vinf * np.abs(v[ji])))
+        threshold = lam_i * (1.0 - np.sqrt(lam / lam_i) * tail * p.v_inf * mag)
+        feasible = (np.arange(d) >= i[..., None]) & (lam >= threshold)
+        ji = np.argmax(np.where(feasible, mag, -1.0), axis=-1)
+        return _value(lam[i] * (1.0 + (d - i) * p.v_inf * mag[ji]))
 
 
 def psi(rho: float, w: float) -> float:

@@ -48,7 +48,7 @@ def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance
     """Parse the key/array instance format with line-precise diagnostics."""
     dim = None
     lambdas = None
-    lambdas_line = 0
+    first_line: dict = {}  # the line of each single-valued key
     vectors: list = []
     vector_lines: list = []
     seed = 0
@@ -63,6 +63,10 @@ def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance
         key, _, rhs = line.partition("=")
         key = key.strip()
         rhs = rhs.strip()
+        if key in ("dim", "lambdas", "seed", "recipe"):
+            if key in first_line:
+                raise InstanceParseError(line_no, f"{key} is already set on line {first_line[key]}")
+            first_line[key] = line_no
         try:
             value = ast.literal_eval(rhs)
         except (ValueError, SyntaxError) as exc:
@@ -86,7 +90,6 @@ def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance
             if not isinstance(value, (list, tuple)) or not value:
                 raise InstanceParseError(line_no, "lambdas must be a non-empty array")
             lambdas = as_floats(value, "lambdas")
-            lambdas_line = line_no
         elif key == "vectors":
             if not isinstance(value, (list, tuple)):
                 raise InstanceParseError(line_no, "vectors must be an array of arrays")
@@ -111,6 +114,7 @@ def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance
 
     if lambdas is None:
         raise InstanceParseError(0, "missing required key 'lambdas'")
+    lambdas_line = first_line["lambdas"]
     if dim is None:
         dim = len(lambdas)
     if len(lambdas) != dim:
@@ -317,18 +321,18 @@ def cmd_verify(args) -> int:
 
 
 def _parse_lambda1_grid(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected FROM:TO:COUNT (log-spaced), got {text!r}"
-        )
-    lo, hi = float(parts[0]), float(parts[1])
+        ) from None
     for name, value in (("FROM", lo), ("TO", hi)):
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(
                 f"grid {name} must be finite, got {value!r} in {text!r}"
             )
-    count = int(parts[2])
     if count < 1 or lo < 1.0 or hi < lo:
         raise argparse.ArgumentTypeError(f"invalid grid {text!r}")
     if count == 1:
@@ -389,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the certification sweep")
     p_verify.add_argument("--d", type=int, action="append")
     p_verify.add_argument("--m", type=int, action="append")
-    p_verify.add_argument("--seeds", type=int, help="number of seeds (0..N-1)")
-    p_verify.add_argument("--seed-list", type=int, nargs="+")
+    seeds = p_verify.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", type=int, help="number of seeds (0..N-1)")
+    seeds.add_argument("--seed-list", type=int, nargs="+")
     p_verify.add_argument("--lambda1-list", type=float, nargs="+")
     p_verify.add_argument(
         "--perturb-bound",

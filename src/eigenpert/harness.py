@@ -237,8 +237,8 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
         )
     ]
 
-    if m == 1 and spec.is_strict and not (perts.vectors[0] == 0.0).any():
-        b6 = bnd.eigenvalue_bound_rank1(spec, perts.vectors[0], idx)
+    b6 = bnd.eigenvalue_bound_rank1(spec, params, idx)
+    if b6 is not None:
         notes = [
             f"refinement wins at i={k}: {b:.6g} < {h:.6g}"
             for k, (b, h) in enumerate(zip(b6.tolist(), hi.tolist()))

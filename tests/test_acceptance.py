@@ -85,11 +85,11 @@ def test_criterion_3_rank1_eigenvalue_refinement():
     with criterion(3, "rank-one eigenvalue refinement on 200 strict instances"):
         for seed in range(200):
             inst = gen_rankone_instance(seed)
-            v = inst.perts.vectors[0]
+            p = bnd.BoundParams.from_perturbations(inst.perts)
             lam = inst.spectrum.lambdas
             nus = jacobi_eig(build_perturbed(inst.spectrum, inst.perts)).values
             for i in range(inst.d):
-                b = bnd.eigenvalue_bound_rank1(inst.spectrum, v, i)
+                b = bnd.eigenvalue_bound_rank1(inst.spectrum, p, i)
                 assert nus[i] <= b + 1e-9 * lam[i], (
                     f"seed={seed} i={i}: nu={nus[i]!r} > bound={b!r}"
                 )

@@ -17,6 +17,11 @@ def params(d, m, v_bound):
     return bnd.BoundParams(PerturbationSet([np.full(d, v_bound)] * m, dim=d))
 
 
+def rank1_params(v):
+    """The BoundParams of the single direction v."""
+    return bnd.BoundParams(PerturbationSet([v]))
+
+
 class TestAlpha:
     def test_equal_arguments(self):
         assert bnd.alpha(7.3, 7.3) == 1.0
@@ -121,29 +126,29 @@ class TestEigenvalueBounds:
     def test_rank1_golden(self):
         spec = Spectrum([100.0, 1.0])
         v = np.array([1.0, 1.0])
-        assert bnd.eigenvalue_bound_rank1(spec, v, 0) == pytest.approx(300.0)
+        assert bnd.eigenvalue_bound_rank1(spec, rank1_params(v), 0) == pytest.approx(300.0)
         oracle = jacobi_eig(build_perturbed(spec, PerturbationSet([v]))).values
         assert oracle[0] <= 300.0
 
     def test_rank1_last_index(self):
         # at i = d-1 the bound reduces to lambda_d (1 + vinf |v_d|)
         spec = Spectrum([9.0, 1.0])
-        v = np.array([0.5, 0.7])
-        assert bnd.eigenvalue_bound_rank1(spec, v, 1) == pytest.approx(1.0 + 0.7 * 0.7)
+        p = rank1_params([0.5, 0.7])
+        assert bnd.eigenvalue_bound_rank1(spec, p, 1) == pytest.approx(1.0 + 0.7 * 0.7)
 
     def test_rank1_randomized_soundness(self):
         for seed in range(200):
             inst = gen_rankone_instance(seed)
-            v = inst.perts.vectors[0]
+            p = bnd.BoundParams.from_perturbations(inst.perts)
             nus = jacobi_eig(build_perturbed(inst.spectrum, inst.perts)).values
             for i in range(inst.d):
-                b = bnd.eigenvalue_bound_rank1(inst.spectrum, v, i)
+                b = bnd.eigenvalue_bound_rank1(inst.spectrum, p, i)
                 assert nus[i] <= b + 1e-9 * inst.spectrum.lambdas[i]
 
 
 def _j_index_reference(lam, v, i):
-    """The loop form of j_index: the first j >= i of largest |v_j| among the
-    feasible ones."""
+    """The loop form of the pivot j_i: the first j >= i of largest |v_j|
+    among the feasible ones."""
     d = lam.size
     vinf = float(np.max(np.abs(v)))
     best, best_mag = -1, -1.0
@@ -155,7 +160,17 @@ def _j_index_reference(lam, v, i):
     return best
 
 
+def _rank1_reference(spec, v, i):
+    """The refined bound at one index, through the loop form of the pivot."""
+    vinf = float(np.max(np.abs(v)))
+    j = _j_index_reference(spec.lambdas, v, i)
+    return float(spec.lambdas[i]) * (1.0 + (spec.d - i) * vinf * abs(float(v[j])))
+
+
 class TestJIndex:
+    """The pivot j_i of the rank-one eigenvalue refinement, seen through the
+    bound it selects."""
+
     def test_array_form_matches_loop_reference(self):
         insts = [gen_rankone_instance(seed) for seed in range(200)]
         cases = [(inst.spectrum, inst.perts.vectors[0]) for inst in insts]
@@ -164,39 +179,48 @@ class TestJIndex:
         cases += [(Spectrum(1.0 - eps * np.arange(6)), np.array([0.2, -0.5, 0.5, 0.1, -0.5, 0.3])),
                   (Spectrum([4.0, 3.0, 2.0, 1.0]), np.array([0.3, 0.3, -0.3, 0.3]))]
         for spec, v in cases:
+            p = rank1_params(v)
             idx = np.arange(spec.d)
-            ref = [_j_index_reference(spec.lambdas, v, i) for i in idx]
-            assert [bnd.j_index(spec, v, i) for i in idx] == ref
-            assert bnd.j_index(spec, v, idx).tolist() == ref
-            vinf = float(np.max(np.abs(v)))
-            expected = np.array([
-                float(spec.lambdas[i]) * (1.0 + (spec.d - i) * vinf * abs(float(v[j])))
-                for i, j in zip(idx, ref)
-            ])
-            assert bnd.eigenvalue_bound_rank1(spec, v, idx).tobytes() == expected.tobytes()
+            expected = np.array([_rank1_reference(spec, v, i) for i in idx])
+            scalar = np.array([bnd.eigenvalue_bound_rank1(spec, p, i) for i in idx])
+            assert scalar.tobytes() == expected.tobytes()
+            assert bnd.eigenvalue_bound_rank1(spec, p, idx).tobytes() == expected.tobytes()
 
     def test_rejects_out_of_range_index_in_array(self):
         with pytest.raises(IndexError, match="index 3 out of range"):
-            bnd.eigenvalue_bound_rank1(Spectrum([3.0, 2.0, 1.0]), [0.1, 0.2, 0.3], np.arange(4))
+            bnd.eigenvalue_bound_rank1(
+                Spectrum([3.0, 2.0, 1.0]), rank1_params([0.1, 0.2, 0.3]), np.arange(4)
+            )
 
     def test_hand_evaluated_2d(self):
-        # j=2 infeasible: 1 < 100 (1 - 0.1 * 2 * 1 * 1) = 80
-        assert bnd.j_index(Spectrum([100.0, 1.0]), [1.0, 1.0], 0) == 0
+        # 1-based j=2 infeasible: 1 < 100 (1 - 0.1 * 2 * 1 * 1) = 80, so the
+        # pivot is j=1 and the bound 100 (1 + 2 * 1 * 0.5), not 100 (1 + 2 * 1 * 1)
+        spec = Spectrum([100.0, 1.0])
+        v = [0.5, 1.0]
+        assert _j_index_reference(spec.lambdas, v, 0) == 0
+        assert bnd.eigenvalue_bound_rank1(spec, rank1_params(v), 0) == 200.0
 
     def test_last_index_is_singleton(self):
         spec = Spectrum([50.0, 5.0, 1.0])
-        assert bnd.j_index(spec, [0.3, 0.2, 0.1], 2) == 2
+        v = [0.3, 0.2, 0.1]
+        assert _j_index_reference(spec.lambdas, v, 2) == 2
+        assert bnd.eigenvalue_bound_rank1(spec, rank1_params(v), 2) == 1.0 * (1.0 + 1 * 0.3 * 0.1)
 
     def test_near_flat_spectrum_picks_largest_entry(self):
         eps = 1e-6
         spec = Spectrum([1.0, 1.0 - eps, 1.0 - 2 * eps])
-        assert bnd.j_index(spec, [0.1, 0.2, 0.3], 0) == 2
+        v = [0.1, 0.2, 0.3]
+        assert _j_index_reference(spec.lambdas, v, 0) == 2
+        assert bnd.eigenvalue_bound_rank1(spec, rank1_params(v), 0) == 1.0 * (1.0 + 3 * 0.3 * 0.3)
 
     def test_rejects_zero_entries_and_ties(self):
-        with pytest.raises(bnd.JIndexError, match="zero"):
-            bnd.j_index(Spectrum([2.0, 1.0]), [1.0, 0.0], 0)
-        with pytest.raises(bnd.JIndexError, match="repeated"):
-            bnd.j_index(Spectrum([1.0, 1.0]), [1.0, 1.0], 0)
+        # None where the refinement does not apply: a zero entry of v, a
+        # repeated eigenvalue, m = 2 and m = 0
+        assert bnd.eigenvalue_bound_rank1(Spectrum([2.0, 1.0]), rank1_params([1.0, 0.0]), 0) is None
+        assert bnd.eigenvalue_bound_rank1(Spectrum([1.0, 1.0]), rank1_params([1.0, 1.0]), 0) is None
+        spec = Spectrum([2.0, 1.0])
+        assert bnd.eigenvalue_bound_rank1(spec, params(2, 2, 1.0), 0) is None
+        assert bnd.eigenvalue_bound_rank1(spec, params(2, 0, 1.0), np.arange(2)) is None
 
 
 class TestEigvecBounds:

@@ -96,6 +96,9 @@ class TestInstanceFormat:
             ("lambdas = [2.0, 1.0]\nvector = [1.0, 1e999]\n", 2, "not a finite number"),
             ("lambdas = [2.0, 1.0]\nvectors = [[1.0, -1e999]]\n", 2, "not a finite number"),
             ("lambdas = [2.0, True]\n", 1, "entry True is not a finite number"),
+            ("dim = 2\nlambdas = [2.0, 1.0]\ndim = 2\n", 3, "dim is already set on line 1"),
+            ("seed = 1\nlambdas = [2.0, 1.0]\n\nseed = 1\n", 4, "seed is already set on line 1"),
+            ('lambdas = [1.0]\nrecipe = "a"\nrecipe = "b"\n', 3, "recipe is already set on line 2"),
         ],
     )
     def test_rejected_values_exit_2(self, capsys, tmp_path, text, line_no, message):
@@ -307,6 +310,19 @@ class TestCmdVerify:
         )
         assert rc == 0
         assert "instances: 1" in capsys.readouterr().out
+
+    def test_seeds_and_seed_list_are_exclusive(self, capsys):
+        # argparse refuses the pair instead of certifying the --seed-list seeds alone
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--d", "2", "--m", "1", "--seeds", "3", "--seed-list", "1",
+                      "--lambda1-list", "1e2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: eigenpert verify ")
+        assert captured.err.splitlines()[-1] == (
+            "eigenpert verify: error: argument --seed-list: not allowed with argument --seeds"
+        )
 
     def test_default_grid_clean(self, capsys):
         rc = cli.main(["verify"])
@@ -643,6 +659,18 @@ class TestCmdScan:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].endswith(f"argument --lambda1: {message}")
 
+    @pytest.mark.parametrize("grid", ["1e2:1e8:2.5", "a:1e8:3", "1e2:1e8:x"])
+    def test_non_numeric_grid_part_exit_2(self, capsys, grid):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--d", "3", "--m", "1", "--j", "2", "--lambda1", grid])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"eigenpert scan: error: argument --lambda1: "
+            f"expected FROM:TO:COUNT (log-spaced), got '{grid}'"
+        )
+
     def test_bad_j_values(self, capsys):
         rc = cli.main(["scan", "--d", "3", "--m", "1", "--j", "7",
                        "--lambda1", "1e2:1e4:3", "--seed", "0"])
@@ -722,6 +750,9 @@ REJECTIONS = {
     "bounds-parse": (
         ["bounds", "{f}"], "lambdas = []\n", None, 2,
         "error: line 1: lambdas must be a non-empty array\n"),
+    "bounds-repeated-key": (
+        ["bounds", "{f}"], "lambdas = [3.0, 1.0]\nvector = [1.0, 1.0]\nlambdas = [5.0, 1.0]\n",
+        None, 2, "error: line 3: lambdas is already set on line 1\n"),
     "bounds-csv-unwritable": (
         ["bounds", "{f}", "--csv", "/nonexistent/x.csv"],
         "lambdas = [100.0, 1.0]\nvector = [1.0, 1.0]\n", None, 2,

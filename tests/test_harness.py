@@ -147,7 +147,7 @@ class TestCertify:
             for e in entries:
                 assert e.bound == fn(inst.spectrum, params, e.i, e.j)
         for e in reports["eigenvalue-rank1"].entries:
-            assert e.bound == bnd.eigenvalue_bound_rank1(inst.spectrum, inst.perts.vectors[0], e.i)
+            assert e.bound == bnd.eigenvalue_bound_rank1(inst.spectrum, params, e.i)
         ev = reports["eigenvalue-rankm"].entries
         assert [e.side for e in ev[:2]] == ["lower", "upper"]
         for e in ev:
