@@ -26,8 +26,12 @@ from .symmat import PerturbationSet, Spectrum
 PASS_RTOL = 1e-9
 # C_m recursion saturates to +inf past this magnitude (bound is vacuous there).
 CM_SATURATION = 1e300
-# Realizations whose generation recipe and BoundParams a process keeps (the
-# default grid draws 125, the graded scans 60); an older one is rebuilt.
+# Entries a process keeps in each of its caches, the least recently used
+# going first: realizations with their generation recipe and BoundParams
+# (the default grid draws 125, the graded scans 60), grid spectra and their
+# ratio tables (25 on the default grid), per-dimension index layouts (5) and
+# entries templates (15: 5 dimensions by 3 sets of report kinds).  An entry
+# that goes is rebuilt bit for bit on its next use.
 REALIZATION_CACHE_SIZE = 256
 
 
@@ -50,6 +54,15 @@ def passes(slack, bound):
     return slack >= -PASS_RTOL * np.maximum(1.0, bound)
 
 
+def entry_slack(observed, bound, lower):
+    """The slack of each entry: bound - observed, or observed - bound where
+    `lower` is true.  It is formed as a difference either way, never
+    negated, so an entry whose observation equals its bound has slack +0.0."""
+    slack = bound - observed
+    np.subtract(observed, bound, out=slack, where=lower)
+    return slack
+
+
 def alpha(a, b):
     """sqrt(min(a, b) / max(a, b)) for positive a, b; symmetric, in (0, 1]."""
     a = np.asarray(a, dtype=float)
@@ -57,6 +70,19 @@ def alpha(a, b):
     if (np.fmin(a, b) <= 0.0).any():  # fmin: a nan beside a value <= 0 still raises
         raise ValueError(f"alpha requires positive arguments, got ({a}, {b})")
     return _value(np.sqrt(np.minimum(a, b) / np.maximum(a, b)))
+
+
+@functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)
+def ratio_table(spec: Spectrum) -> tuple:
+    """(r, a): the read-only d x d tables r[i, j] = min/max of lambda_i and
+    lambda_j and a[i, j] = alpha(lambda_i, lambda_j) = sqrt(r[i, j]), built
+    once per Spectrum object (it hashes by identity, and its lambdas are
+    read-only).  For j >= i, r[i, j] is lambda_j / lambda_i."""
+    col = spec.lambdas[:, None]
+    a = alpha(col, spec.lambdas)
+    r = np.minimum(col, spec.lambdas) / np.maximum(col, spec.lambdas)
+    r.flags.writeable = a.flags.writeable = False
+    return r, a
 
 
 @dataclass(frozen=True)
@@ -141,11 +167,11 @@ def eigenvalue_bound_rank1(spec: Spectrum, p: BoundParams, i):
         raise IndexError(f"index {i[out_of_range].flat[0]} out of range for d={d}")
     lam_i = lam[i][..., None]
     tail = (d - i)[..., None]
-    # lambda_j / lambda_i may overflow in the columns j < i, which the mask
-    # drops; past the double range the bound is +inf, vacuous like a
-    # saturated C_m
+    # sqrt(lambda_j / lambda_i) for j >= i; the mask drops the columns j < i,
+    # where the table holds lambda_i / lambda_j.  Past the double range the
+    # bound is +inf, vacuous like a saturated C_m
     with np.errstate(over="ignore"):
-        threshold = lam_i * (1.0 - np.sqrt(lam / lam_i) * tail * p.v_inf * mag)
+        threshold = lam_i * (1.0 - ratio_table(spec)[1][i] * tail * p.v_inf * mag)
         feasible = (np.arange(d) >= i[..., None]) & (lam >= threshold)
         ji = np.argmax(np.where(feasible, mag, -1.0), axis=-1)
         return _value(lam[i] * (1.0 + (d - i) * p.v_inf * mag[ji]))
@@ -200,12 +226,12 @@ def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
     lami, lamj = spec.lambdas[i], spec.lambdas[j]
     mx, mn = np.maximum(lami, lamj), np.minimum(lami, lamj)
     w, k = p.w[i], p.w_psi[i]
+    r, sqrt_r = (t[i, j] for t in ratio_table(spec))
     # outside the regime the denominator may vanish, and past the double
     # range the constants overflow; the mask below drops both
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         applicable = mx > (1.0 + p.d * _power(p.v_bound, 2)) * mn
-        r = mn / mx
-        value = k / (1.0 - (1.0 + w) * r) * np.sqrt(r)
+        value = k / (1.0 - (1.0 + w) * r) * sqrt_r
     return _value(np.where(applicable & (k < math.inf), np.minimum(1.0, value), 1.0))
 
 
@@ -311,23 +337,3 @@ def make_report(kind: str, entries, notes=()) -> BoundReport:
     return BoundReport(
         kind=kind, entries=entries.view(np.recarray), passed=passed, notes=tuple(notes)
     )
-
-
-def report_from_arrays(kind: str, i, j, observed, bound, side="upper", notes=()) -> BoundReport:
-    """One report from parallel arrays: entry k compares observed[k] with
-    bound[k] at (i[k], j[k]).  `j` is None for the eigenvalue kinds (stored
-    as -1); `side` is one string for every entry or an array of them."""
-    observed = np.asarray(observed, dtype=float)
-    bound = np.asarray(bound, dtype=float)
-    entries = np.empty(len(bound), dtype=ENTRY_DTYPE)
-    entries["i"] = i
-    entries["j"] = -1 if j is None else j
-    entries["observed"] = observed
-    entries["bound"] = bound
-    entries["side"] = side
-    if isinstance(side, str):
-        entries["slack"] = bound - observed if side == "upper" else observed - bound
-    else:
-        upper = np.asarray(side) == "upper"
-        entries["slack"] = np.where(upper, bound - observed, observed - bound)
-    return make_report(kind, entries, notes)

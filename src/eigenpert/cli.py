@@ -40,8 +40,8 @@ class InstanceParseError(InputError):
 
 
 def _fmt(x: float) -> str:
-    """15 significant digits, plain decimal point."""
-    return f"{x:.15g}"
+    """15 significant digits, plain decimal point; a zero prints unsigned."""
+    return f"{x + 0.0:.15g}"
 
 
 def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance:

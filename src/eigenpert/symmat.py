@@ -197,7 +197,7 @@ def apply_sign_convention(basis: np.ndarray) -> np.ndarray:
     # it lands on an entry with |x| <= 1e-12, which never asks for a flip
     lead = (np.abs(out) > SIGN_PIVOT_TOL).argmax(axis=0)
     flip = out[lead, np.arange(out.shape[1])] < -SIGN_PIVOT_TOL
-    out[:, flip] = -out[:, flip]
+    np.negative(out, out=out, where=flip)
     return out
 
 

@@ -7,14 +7,25 @@ from eigenpert import bounds, harness
 from eigenpert.symmat import PerturbationSet, Spectrum
 
 
+def clear_caches():
+    """Empty every cache of `harness` and `bounds`: realizations, grid
+    spectra, ratio tables, per-dimension layouts and entries templates."""
+    for cache in (
+        harness._grid_recipe,
+        harness._grid_spectrum,
+        harness._layout,
+        harness._entries_template,
+        bounds.BoundParams.from_perturbations,
+        bounds.ratio_table,
+    ):
+        cache.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_realization_caches():
-    """Start every test with no realization drawn and no per-dimension
-    layout built, so call counts and monkeypatched draws do not depend on
-    which tests ran before."""
-    harness._grid_recipe.cache_clear()
-    harness._layout.cache_clear()
-    bounds.BoundParams.from_perturbations.cache_clear()
+    """Start every test with every cache empty, so call counts and
+    monkeypatched draws do not depend on which tests ran before."""
+    clear_caches()
 
 
 def quadratic_eigenvalues(a: np.ndarray) -> tuple[float, float]:

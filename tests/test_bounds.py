@@ -57,6 +57,114 @@ class TestAlpha:
         assert 0.0 < bnd.alpha(a, b) <= 1.0
 
 
+@st.composite
+def spectra(draw, max_d=8):
+    """A Spectrum of d <= max_d entries from 1e-300 to 1e300, with ties."""
+    d = draw(st.integers(1, max_d))
+    pool = draw(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=d))
+    lambdas = draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d))
+    return Spectrum(sorted(lambdas, reverse=True))
+
+
+@st.composite
+def rank1_cases(draw):
+    """A spectrum and one direction over the double range, zeros included."""
+    spec = draw(spectra())
+    entry = st.one_of(st.just(0.0), st.floats(-1e300, 1e300, allow_nan=False))
+    return spec, np.array(draw(st.lists(entry, min_size=spec.d, max_size=spec.d)))
+
+
+def _rank1_parent(spec, p, i):
+    """`eigenvalue_bound_rank1` as it was before the ratio table: the ratio
+    lambda_j / lambda_i is formed in every column, and overflows in the
+    columns j < i of a wide spectrum, which the mask drops."""
+    if p.m != 1 or not spec.is_strict:
+        return None
+    mag = np.abs(p.perts.vectors[0])
+    if not mag.all():
+        return None
+    lam, d, i = spec.lambdas, spec.d, np.asarray(i)
+    lam_i = lam[i][..., None]
+    tail = (d - i)[..., None]
+    with np.errstate(over="ignore"):
+        threshold = lam_i * (1.0 - np.sqrt(lam / lam_i) * tail * p.v_inf * mag)
+        feasible = (np.arange(d) >= i[..., None]) & (lam >= threshold)
+        ji = np.argmax(np.where(feasible, mag, -1.0), axis=-1)
+        return lam[i] * (1.0 + (d - i) * p.v_inf * mag[ji])
+
+
+def _refined_parent(spec, p, i, j):
+    """`eigvec_bound_rank1_refined` as it was before the ratio table."""
+    lami, lamj = spec.lambdas[i], spec.lambdas[j]
+    mx, mn = np.maximum(lami, lamj), np.minimum(lami, lamj)
+    w, k = p.w[i], p.w_psi[i]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        applicable = mx > (1.0 + p.d * bnd._power(p.v_bound, 2)) * mn
+        r = mn / mx
+        value = k / (1.0 - (1.0 + w) * r) * np.sqrt(r)
+    return np.where(applicable & (k < math.inf), np.minimum(1.0, value), 1.0)
+
+
+def _same_bits(a, b):
+    return (a is None and b is None) or np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestRatioTable:
+    @given(spectra())
+    @settings(max_examples=200)
+    def test_matches_alpha_bit_for_bit(self, spec):
+        r, a = bnd.ratio_table(spec)
+        lam = spec.lambdas
+        assert r.shape == a.shape == (spec.d, spec.d)
+        for i in range(spec.d):
+            for j in range(spec.d):
+                assert _same_bits(a[i, j], bnd.alpha(lam[i], lam[j]))
+                assert _same_bits(r[i, j], min(lam[i], lam[j]) / max(lam[i], lam[j]))
+        for t in (r, a):
+            with pytest.raises(ValueError, match="read-only"):
+                t[0, 0] = 0.5
+
+    def test_one_table_per_spectrum_object(self):
+        spec = Spectrum([9.0, 4.0, 1.0])
+        assert bnd.ratio_table(spec) is bnd.ratio_table(spec)
+        twin = Spectrum([9.0, 4.0, 1.0])  # equal, but another object: its own table
+        assert bnd.ratio_table(twin) is not bnd.ratio_table(spec)
+        assert [t.tobytes() for t in bnd.ratio_table(twin)] == [
+            t.tobytes() for t in bnd.ratio_table(spec)]
+        assert bnd.ratio_table(spec)[0][0].tolist() == [1.0, 4.0 / 9.0, 1.0 / 9.0]
+
+    @given(rank1_cases())
+    @settings(max_examples=300)
+    def test_bounds_match_the_parent_expressions(self, case):
+        spec, v = case
+        p = rank1_params(v)
+        idx = np.arange(spec.d)
+        i, j = np.divmod(np.arange(spec.d**2), spec.d)
+        assert _same_bits(bnd.eigenvalue_bound_rank1(spec, p, idx), _rank1_parent(spec, p, idx))
+        refined = bnd.eigvec_bound_rank1_refined(spec, p, i, j)
+        assert _same_bits(refined, _refined_parent(spec, p, i, j))
+        for k in idx:
+            assert _same_bits(bnd.eigenvalue_bound_rank1(spec, p, k), _rank1_parent(spec, p, k))
+
+    @pytest.mark.parametrize(
+        "lambdas", [[1e300, 1.0, 1e-300], [1e200, 1e100, 1e-10, 1e-150, 1e-200]], ids=["d3", "d5"]
+    )
+    def test_parent_overflow_columns_are_dropped(self, lambdas):
+        # lambda_j / lambda_i overflowed in the columns j < i of these rows;
+        # the table holds lambda_i / lambda_j there, and the bound's bits stay
+        spec = Spectrum(lambdas)
+        lam = spec.lambdas
+        with np.errstate(over="ignore"):
+            assert np.isinf(lam / lam[-1]).any()
+        d = spec.d
+        for v in (np.linspace(0.3, 1.0, d), np.full(d, 1e-3), np.linspace(2.0, 1e-8, d)):
+            p = rank1_params(v)
+            idx = np.arange(spec.d)
+            bound = bnd.eigenvalue_bound_rank1(spec, p, idx)
+            assert np.isfinite(bound).all()
+            assert _same_bits(bound, _rank1_parent(spec, p, idx))
+
+
 class TestPsi:
     def test_direct_values(self):
         assert bnd.psi(0.5, 1.0) == pytest.approx(4.0)
@@ -436,11 +544,21 @@ class TestBoundParams:
         assert empty.v_bound == pytest.approx(0.5)
 
 
+def record_entries(i, j, observed, bound, side="upper"):
+    """A record array of ENTRY_DTYPE from parallel arrays, its slack formed
+    by `entry_slack` from the side of each entry."""
+    observed = np.asarray(observed, dtype=float)
+    bound = np.asarray(bound, dtype=float)
+    entries = np.empty(len(bound), dtype=bnd.ENTRY_DTYPE)
+    entries["i"], entries["j"], entries["side"] = i, j, side
+    entries["observed"], entries["bound"] = observed, bound
+    entries["slack"] = bnd.entry_slack(observed, bound, entries["side"] == "lower")
+    return entries
+
+
 def upper_report(observed, bound):
     n = len(observed)
-    return bnd.report_from_arrays(
-        "eigvec-rankm", np.zeros(n, int), np.ones(n, int), np.array(observed), np.array(bound)
-    )
+    return bnd.make_report("eigvec-rankm", record_entries(np.zeros(n, int), 1, observed, bound))
 
 
 class TestReports:
@@ -456,28 +574,26 @@ class TestReports:
         assert not bnd.make_report("eigvec-rankm", [bad]).passed
 
     def test_lower_entries(self):
-        rep = bnd.report_from_arrays(
-            "eigenvalue-rankm", np.array([0]), None, np.array([5.0]), np.array([4.0]), "lower"
-        )
+        row = bnd.BoundEntry(0, -1, observed=5.0, bound=4.0, slack=1.0, side="lower")
+        rep = bnd.make_report("eigenvalue-rankm", [row])
         (e,) = rep.entries
-        assert e.side == "lower" and e.slack == pytest.approx(1.0)
+        assert e.side == "lower" and e.slack == 1.0 and rep.passed
+        # a lower entry whose bound exceeds its observation fails
+        assert not bnd.make_report("eigenvalue-rankm", [row._replace(slack=-1.0)]).passed
 
     def test_pass_rule_broadcasts(self):
         slack = np.array([0.0, -0.5e-9, -2e-9, -1.5e-6])
         bound = np.array([0.5, 0.5, 0.5, 1e3])
         assert bnd.passes(slack, bound).tolist() == [True, True, False, False]
 
-    def test_report_from_arrays(self):
-        rep = bnd.report_from_arrays(
-            "eigenvalue-rankm",
-            np.array([0, 0]),
-            None,
-            np.array([5.0, 5.0]),
-            np.array([4.0, 6.0]),
-            np.array(["lower", "upper"]),
+    def test_make_report_from_record_array(self):
+        entries = record_entries(
+            np.array([0, 0]), -1, [5.0, 5.0], [4.0, 6.0], np.array(["lower", "upper"])
         )
+        rep = bnd.make_report("eigenvalue-rankm", entries)
         assert rep.passed and rep.notes == ()
         e = rep.entries
+        assert isinstance(e, np.recarray)
         assert e.dtype == bnd.ENTRY_DTYPE and len(e) == 2
         assert e.i.tolist() == [0, 0]
         assert e.j.tolist() == [-1, -1]  # no j for the eigenvalue kinds
@@ -485,6 +601,8 @@ class TestReports:
         assert e.bound.tolist() == [4.0, 6.0]
         assert e.slack.tolist() == [1.0, 1.0]
         assert e.side.tolist() == ["lower", "upper"]
+        # the report keeps the record array it was given, not a copy
+        assert np.shares_memory(e, entries)
 
     @pytest.mark.parametrize(
         "side",
@@ -492,14 +610,17 @@ class TestReports:
         ids=["upper", "lower", "array"],
     )
     def test_slack_matches_side_field_formula(self, side):
-        # the slack, computed from the input arrays, equals the formula on the
-        # record's side field bit for bit (signed zeros included)
+        # the slack equals the formula on the record's side field bit for
+        # bit: signed zeros included, so an observation equal to its bound
+        # has slack +0.0 on either side
         observed = np.array([0.5, 1.0, 0.25, 3.0, 1e-300])
         bound = np.array([0.75, 1.0, 0.125, 2.0, 0.0])
-        e = bnd.report_from_arrays("eigenvalue-rankm", np.arange(5), None, observed, bound, side).entries
+        entries = record_entries(np.arange(5), -1, observed, bound, side)
+        e = bnd.make_report("eigenvalue-rankm", entries).entries
         expected = np.where(e["side"] == "upper", bound - observed, observed - bound)
         assert e["slack"].tobytes() == expected.tobytes()
         assert e["side"].tolist() == np.broadcast_to(side, 5).tolist()
+        assert not np.signbit(e["slack"][1])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

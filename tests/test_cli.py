@@ -139,6 +139,23 @@ class TestCmdEig:
         b = eig_values(ora)
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_methods_print_the_same_unsigned_zero(self, capsys, tmp_path):
+        # the collision rotation of lambda_2 = lambda_3 leaves -0.0 in the
+        # secular eigenvector, where the oracle has +0.0; both print 0
+        f = tmp_path / "collision.txt"
+        f.write_text("lambdas = [4.0, 2.0, 2.0]\nvector = [1.0, 0.0, 1.0]\n")
+        outs = []
+        for method in ("secular", "oracle"):
+            assert cli.main(["eig", str(f), "--method", method]) == 0
+            out = capsys.readouterr().out
+            outs.append([line for line in out.splitlines() if line.startswith("eigenvector ")])
+        assert outs[0] == outs[1]
+        assert outs[0][0] == "eigenvector 1 = [0.888073833977115, 0, 0.459700843380983]"
+
+    def test_fmt_drops_the_sign_of_zero(self):
+        assert [cli._fmt(x) for x in (-0.0, np.float64(-0.0), 0.0, -1e-300, -2.5)] == [
+            "0", "0", "0", "-1e-300", "-2.5"]
+
     @pytest.mark.filterwarnings("error")
     def test_secular_subnormal_spectrum(self, capsys, tmp_path):
         # lambda_3 = 1e-310 is subnormal: the secular problem is solved
@@ -787,6 +804,9 @@ REJECTIONS = {
     "scan-m-negative": (
         ["scan", "--d", "3", "--m", "-1", "--j", "2", "--lambda1", "1e2:1e6:3"], None, None, 2,
         "error: m must be >= 0, got -1\n"),
+    "scan-d-1": (
+        ["scan", "--d", "1", "--m", "1", "--j", "last", "--lambda1", "1:10:3"], None, None, 2,
+        "error: d must be >= 2 (the ratio grid is undefined at d=1)\n"),
     "scan-flat-grid": (
         ["scan", "--d", "3", "--m", "1", "--j", "2", "--lambda1", "1e2:1e2:3"], None, None, 2,
         "error: lambda1 grid must be strictly ascending\n"),

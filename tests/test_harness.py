@@ -10,7 +10,7 @@ from eigenpert import bounds as bnd
 from eigenpert import harness, symmat
 from eigenpert.bounds import PASS_RTOL
 from eigenpert.symmat import ConvergenceError, build_perturbed, jacobi_eig
-from conftest import gen_rankone_instance, s_formula
+from conftest import clear_caches, gen_rankone_instance, s_formula
 
 
 def vector_digest(instance):
@@ -251,15 +251,17 @@ class TestCertify:
             ]
 
         warm = snapshot()
-        assert harness._grid_recipe.cache_info().hits > 0
-        assert harness._layout.cache_info().hits > 0
-        harness._grid_recipe.cache_clear()
-        bnd.BoundParams.from_perturbations.cache_clear()
-        harness._layout.cache_clear()
+        for cache in (harness._grid_recipe, harness._grid_spectrum, harness._layout,
+                      harness._entries_template, bnd.ratio_table):
+            assert cache.cache_info().hits > 0
+        clear_caches()
         assert snapshot() == warm
 
-        # the per-dimension layout and the m = 1 constants are read-only
-        for arr in (*harness._layout(5), params(a.perts).w, params(a.perts).w_psi):
+        # the per-dimension layout, the entries templates, the ratio table
+        # and the m = 1 constants are read-only
+        template = harness._entries_template(5, ("eigenvalue-rankm", "eigvec-rankm"))
+        shared = (*harness._layout(5), *template[:2], *bnd.ratio_table(a.spectrum))
+        for arr in (*shared, params(a.perts).w, params(a.perts).w_psi):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
 
@@ -269,6 +271,97 @@ class TestCertify:
                 harness.gen_instance(1, 1, 10.0, 0)
             with pytest.raises(ValueError, match="m must be >= 0"):
                 harness.gen_instance(3, -1, 10.0, 0)
+
+    def test_grid_spectrum_shared_across_realizations(self):
+        # one Spectrum per (d, lambda_1), whatever the rank and seed; the
+        # Instance and its meta are built per call
+        a = harness.gen_instance(5, 1, 1e4, 0)
+        b = harness.gen_instance(5, 3, 1e4, 2)
+        assert a.spectrum is b.spectrum and a is not harness.gen_instance(5, 1, 1e4, 0)
+        assert harness.gen_instance(5, 1, 1e6, 0).spectrum is not a.spectrum
+        assert harness._grid_spectrum.cache_info().currsize == 2
+        # a rejected lambda_1 never reaches the cache
+        for bad in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                harness.gen_instance(5, 1, bad, 0)
+        assert harness._grid_spectrum.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_fresh_spectrum_gives_identical_reports(self, m):
+        # a cached grid Spectrum (with its cached ratio table) and a fresh
+        # equal Spectrum give the same report bytes
+        grid = harness.gen_instance(10, m, 1e6, 3)
+        fresh = harness.Instance(
+            spectrum=symmat.Spectrum(grid.spectrum.lambdas.copy()),
+            perts=grid.perts,
+            seed=grid.seed,
+            meta=grid.meta,
+        )
+        assert fresh.spectrum is not grid.spectrum
+        for scale in (1.0, 0.9):
+            got = [(r.kind, r.entries.tobytes(), r.passed, r.notes)
+                   for r in harness.certify(fresh, scale)]
+            assert got == [(r.kind, r.entries.tobytes(), r.passed, r.notes)
+                           for r in harness.certify(grid, scale)]
+
+    def test_m0_lower_slack_is_positive_zero(self):
+        # at m = 0 the oracle returns nu_i = lambda_i exactly here, so the
+        # lower end of each interval is met with slack +0.0, never -0.0
+        rep = harness.certify(harness.gen_instance(5, 0, 1.0, 0))[0]
+        lower = rep.entries[rep.entries.side == "lower"]
+        assert (lower.observed == lower.bound).all()
+        assert (lower.slack == 0.0).all() and not np.signbit(lower.slack).any()
+
+    @pytest.mark.parametrize(
+        "lambdas, vectors, n_reports",
+        [([8.0, 4.0, 2.0, 1.0], [], 2), ([4.0, 4.0, 1.0], [[1.0, 0.5, 0.25]], 4),
+         ([8.0, 4.0, 2.0, 1.0], [[1.0, 0.5, 0.25, 0.125]], 5)],
+        ids=["m0", "m1-flat", "m1-strict"],
+    )
+    def test_one_make_report_call_per_report(self, monkeypatch, lambdas, vectors, n_reports):
+        from eigenpert.symmat import PerturbationSet, Spectrum
+
+        calls = []
+        make_report = bnd.make_report
+        monkeypatch.setattr(bnd, "make_report", lambda *a: calls.append(a[0]) or make_report(*a))
+        inst = harness.Instance(
+            spectrum=Spectrum(lambdas),
+            perts=PerturbationSet(vectors, dim=len(lambdas)),
+            seed=0,
+            meta="make-report-count",
+        )
+        reports = harness.certify(inst)
+        assert calls == [r.kind for r in reports] and len(reports) == n_reports
+        # the reports are consecutive slices of one entries block
+        starts = [r.entries.ctypes.data for r in reports]
+        ends = [r.entries.ctypes.data + r.entries.nbytes for r in reports]
+        assert starts[1:] == ends[:-1]
+
+    def test_every_cache_is_cleared_between_tests(self):
+        # every functools cache of harness and bounds (module functions and
+        # class attributes) must be emptied by conftest.clear_caches, or a
+        # call-count test could pass or fail by test order
+        def caches(module):
+            found = []
+            for name, obj in vars(module).items():
+                members = vars(obj).items() if isinstance(obj, type) else [(name, obj)]
+                for attr, member in members:
+                    member = getattr(member, "__func__", member)  # classmethod
+                    if hasattr(member, "cache_clear") and getattr(
+                        member, "__module__", None) == module.__name__:
+                        found.append((f"{module.__name__}.{attr}", member))
+            return found
+
+        found = caches(harness) + caches(bnd)
+        assert len(found) >= 6
+        for pt in harness.default_grid(dims=(3,), ms=(0, 1), lambda1s=(1e2,), seeds=(0,)):
+            harness.certify(harness.gen_instance(pt.d, pt.m, pt.lambda1, pt.seed))
+        harness.scan(3, 1, 3, [1e2, 1e4], seed=0)
+        for name, cache in found:
+            assert cache.cache_info().currsize > 0, f"{name} is not filled here: extend this test"
+        clear_caches()
+        for name, cache in found:
+            assert cache.cache_info().currsize == 0, f"conftest.clear_caches misses {name}"
 
     def test_certify_grid_bytes_pinned(self):
         # sha256 of every default-grid report (entry bytes, verdict, notes),
@@ -338,6 +431,12 @@ class TestScan:
     def test_rank1_bound_only_for_m1(self):
         recs = harness.scan(3, 2, 3, [1e2, 1e4, 1e6], seed=0)
         assert all(math.isnan(r.bound_rank1) for r in recs)
+
+    def test_d_is_checked_before_j(self):
+        # at d = 1 no j is valid, and the error names d, as verify's does
+        for j in (1, 2):
+            with pytest.raises(symmat.InputError, match=r"d must be >= 2 \(the ratio grid"):
+                harness.scan(1, 1, j, [1.0, 10.0], seed=0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="ascending"):
