@@ -33,6 +33,8 @@ CM_SATURATION = 1e300
 # entries templates (15: 5 dimensions by 3 sets of report kinds).  An entry
 # that goes is rebuilt bit for bit on its next use.
 REALIZATION_CACHE_SIZE = 256
+# The smallest normal double; `alpha` forms ratios below it another way.
+_TINY = np.finfo(float).tiny
 
 
 def _value(x):
@@ -64,12 +66,23 @@ def entry_slack(observed, bound, lower):
 
 
 def alpha(a, b):
-    """sqrt(min(a, b) / max(a, b)) for positive a, b; symmetric, in (0, 1]."""
+    """sqrt(min(a, b) / max(a, b)) for positive a, b; symmetric, in (0, 1].
+
+    Where min/max falls below the smallest normal double it is formed as
+    sqrt(min) / sqrt(max), which stays positive (at least about 1.6e-316)
+    for any positive doubles, so no bound built on it underflows to 0.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if (np.fmin(a, b) <= 0.0).any():  # fmin: a nan beside a value <= 0 still raises
         raise ValueError(f"alpha requires positive arguments, got ({a}, {b})")
-    return _value(np.sqrt(np.minimum(a, b) / np.maximum(a, b)))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    r = lo / hi
+    out = np.sqrt(r)
+    tiny = r < _TINY
+    if tiny.any():
+        out = np.where(tiny, np.sqrt(lo) / np.sqrt(hi), out)
+    return _value(out)
 
 
 @functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)

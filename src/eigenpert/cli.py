@@ -12,6 +12,11 @@ Instance files are plain text, one `key = value` pair per line:
 
 Library indices are 0-based; everything printed or serialized here (tables,
 CSV columns, the --j flag) uses the 1-based convention of the plots.
+
+Only `symmat` is imported with this module.  `bounds`, `verify` and `scan`
+import `harness` and `bounds` when they run, and `eig --method secular`
+imports `rankone`, so each command loads (and, without a bytecode cache,
+compiles) only the modules it uses.
 """
 
 from __future__ import annotations
@@ -23,10 +28,15 @@ import sys
 
 import numpy as np
 
-from . import bounds as bnd
-from . import harness
-from .rankone import rankone_full
-from .symmat import ConvergenceError, InputError, LapackBindingError, PerturbationSet, Spectrum
+from .symmat import (
+    ConvergenceError,
+    InputError,
+    Instance,
+    LapackBindingError,
+    PerturbationSet,
+    Spectrum,
+    oracle,
+)
 
 CSV_HEADER = "d,m,j,lambda1,ratio,observed,bound_rankm,bound_rank1,seed"
 
@@ -44,7 +54,7 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.15g}"
 
 
-def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance:
+def parse_instance_text(text: str, source: str = "<string>") -> Instance:
     """Parse the key/array instance format with line-precise diagnostics."""
     dim = None
     lambdas = None
@@ -77,6 +87,10 @@ def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance
                 out = [float(x) for x in seq]
             except (TypeError, ValueError) as exc:
                 raise InstanceParseError(line_no, f"{what} has a non-numeric entry: {exc}") from exc
+            except OverflowError as exc:  # an integer literal past the double range
+                raise InstanceParseError(
+                    line_no, f"{what} has an entry past the double range: {exc}"
+                ) from exc
             for x, y in zip(seq, out):
                 if isinstance(x, bool) or not math.isfinite(y):
                     raise InstanceParseError(line_no, f"{what} entry {x!r} is not a finite number")
@@ -139,7 +153,7 @@ def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance
                 vector_lines[k], f"vector {k + 1} has {len(vec)} entries, expected {dim}"
             )
 
-    return harness.Instance(
+    return Instance(
         spectrum=Spectrum(np.array(lambdas)),
         perts=PerturbationSet(tuple(np.array(v) for v in vectors), dim=dim),
         seed=seed,
@@ -147,7 +161,7 @@ def parse_instance_text(text: str, source: str = "<string>") -> harness.Instance
     )
 
 
-def load_instance(path: str) -> harness.Instance:
+def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance_text(fh.read(), source=path)
 
@@ -185,6 +199,8 @@ BOUNDS_CSV_HEADER = "kind,side,i,j,observed,bound,slack,pass"
 
 def render_bounds_csv(reports) -> str:
     """Per-entry CSV across all reports (1-based indices, '-' for absent j)."""
+    from . import bounds as bnd
+
     lines = [BOUNDS_CSV_HEADER]
     for rep in reports:
         ok_column = bnd.passes(rep.entries.slack, rep.entries.bound).tolist()
@@ -222,9 +238,11 @@ def cmd_eig(args) -> int:
                 f"--method secular requires exactly one perturbation vector, "
                 f"instance has m={inst.m}"
             )
+        from .rankone import rankone_full
+
         eig = rankone_full(inst.spectrum, inst.perts.vectors[0])
     else:
-        eig = harness._oracle(inst)
+        eig = oracle(inst)
     print(f"d = {inst.d}")
     print(f"m = {inst.m}")
     for i, val in enumerate(eig.values, start=1):
@@ -241,6 +259,9 @@ def _bound_cells(report, n: int) -> list:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bnd
+    from . import harness
+
     inst = load_instance(args.instance)
     reports = harness.certify(inst)
     by_kind = {r.kind: r for r in reports}
@@ -287,6 +308,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     if args.seeds is not None and args.seeds < 1:
         raise InputError(f"--seeds must be >= 1, got {args.seeds}")
     n_seeds = harness.DEFAULT_N_SEEDS if args.seeds is None else args.seeds
@@ -341,6 +364,8 @@ def _parse_lambda1_grid(text: str):
 
 
 def cmd_scan(args) -> int:
+    from . import harness
+
     if args.j == "last":
         j = args.d
     else:

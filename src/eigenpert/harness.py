@@ -6,6 +6,10 @@ alone.  The per-vector stream is derived from (seed, d, m, vector index)
 and deliberately *not* from lambda_1: every condition number of one
 (seed, d, m) uses the same Gaussian realization, which a process draws once
 and shares between `gen_instance`, `certify` and `scan` (see `_grid_recipe`).
+
+`Instance` and the oracle live in `symmat`; `certify` and `scan` call the
+oracle as `_oracle`.  `rankone` is imported only by the m = 1 cross-check
+of `certify`, so a run with no m = 1 instance never loads it.
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bnd
-from .rankone import RankOneUpdate, secular_eigenvalues
 from .symmat import (
     ConvergenceError,
     EigenDecomposition,
     InputError,
+    Instance,
     PerturbationSet,
     Spectrum,
-    factor_eig,
 )
+from .symmat import oracle as _oracle  # looked up at call time, so it can be patched
 
 _MASK64 = (1 << 64) - 1
 # points below this condition number are excluded from slope fits: constant
@@ -97,24 +101,6 @@ def gaussian_vector(d: int, seed: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A (spectrum, perturbations) pair with its reproduction recipe."""
-
-    spectrum: Spectrum
-    perts: PerturbationSet
-    seed: int
-    meta: str
-
-    @property
-    def d(self) -> int:
-        return self.spectrum.d
-
-    @property
-    def m(self) -> int:
-        return self.perts.m
-
-
 def gen_instance(d: int, m: int, lambda1: float, seed: int) -> Instance:
     """Geometric spectrum between lambda_1 and 1, plus m seeded Gaussian vectors.
 
@@ -165,27 +151,6 @@ def _grid_spectrum(d: int, lambda1: float) -> Spectrum:
     whose spectrum fails validation raises on every call."""
     expo = np.array([(d - 1 - j) / (d - 1) for j in range(d)])
     return Spectrum(lambda1**expo)
-
-
-def _oracle(instance: Instance) -> EigenDecomposition:
-    """Eigendecomposition of D + sqrt(D) (sum_k v_k v_k^T) sqrt(D) from its
-    factor F = sqrt(D) [I | v_1 ... v_m], without forming the matrix; a
-    numerical failure names the instance that caused it."""
-    d = instance.spectrum.d
-    vectors = instance.perts.vectors
-    n = d + len(vectors)
-    sqrt_l = np.sqrt(instance.spectrum.lambdas)
-    f = np.zeros((d, n))
-    f.ravel()[:: n + 1] = sqrt_l  # the diagonal of the leading d x d block
-    with np.errstate(over="ignore"):  # factor_eig refuses a non-finite factor
-        for k, v in enumerate(vectors):
-            np.multiply(sqrt_l, v, out=f[:, d + k])
-    try:
-        return factor_eig(f)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"oracle failed on instance seed={instance.seed} meta={instance.meta}: {exc}"
-        ) from exc
 
 
 @functools.lru_cache(maxsize=bnd.REALIZATION_CACHE_SIZE)
@@ -310,6 +275,8 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
 
 def _crosscheck_rankone(instance: Instance, oracle: EigenDecomposition) -> None:
     """Jacobi vs secular eigenvalues must agree to CROSSCHECK_RTOL."""
+    from .rankone import RankOneUpdate, secular_eigenvalues  # only m = 1 loads it
+
     sec = secular_eigenvalues(
         RankOneUpdate.from_direction(instance.spectrum, instance.perts.vectors[0])
     )

@@ -1,5 +1,6 @@
 """Dense symmetric matrices of the form D + sqrt(D) (sum_k v_k v_k^T) sqrt(D),
-and the eigensolver oracle that every bound check is judged against.
+the `Instance` that pairs a spectrum with its perturbations, and the
+eigensolver `oracle` that every bound check is judged against.
 
 The oracle never forms that matrix: it takes A = F F^T, F = sqrt(D) [I | V],
 to LAPACK's one-sided Jacobi SVD (dgejsv, Drmac & Veselic 2008) through
@@ -7,6 +8,7 @@ ctypes.  Jacobi on a factor keeps the small eigenvalues and the tiny
 eigenvector coordinates of graded matrices relatively accurate (Demmel &
 Veselic 1992), whatever lambda_1/lambda_d: the tests hold it to 1e-14 on
 eigenvalues and 1e-13 on |[e_1]_j| against mpmath up to lambda_1 = 1e60.
+It imports no other module of the package, so `eigenpert eig` loads it alone.
 """
 
 from __future__ import annotations
@@ -135,6 +137,24 @@ class PerturbationSet:
         if not self.vectors:
             return 0.0
         return float(np.abs(self.vectors).max())
+
+
+@dataclass(frozen=True)
+class Instance:
+    """A (spectrum, perturbations) pair with its reproduction recipe."""
+
+    spectrum: Spectrum
+    perts: PerturbationSet
+    seed: int
+    meta: str
+
+    @property
+    def d(self) -> int:
+        return self.spectrum.d
+
+    @property
+    def m(self) -> int:
+        return self.perts.m
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,6 +318,27 @@ def factor_eig(f: np.ndarray) -> EigenDecomposition:
         raise ConvergenceError(message)
     order = np.argsort(-vals, kind="stable")
     return EigenDecomposition(vals[order], apply_sign_convention(vt[order].T))
+
+
+def oracle(instance: Instance) -> EigenDecomposition:
+    """Eigendecomposition of D + sqrt(D) (sum_k v_k v_k^T) sqrt(D) from its
+    factor F = sqrt(D) [I | v_1 ... v_m], without forming the matrix; a
+    numerical failure names the instance that caused it."""
+    d = instance.spectrum.d
+    vectors = instance.perts.vectors
+    n = d + len(vectors)
+    sqrt_l = np.sqrt(instance.spectrum.lambdas)
+    f = np.zeros((d, n))
+    f.ravel()[:: n + 1] = sqrt_l  # the diagonal of the leading d x d block
+    with np.errstate(over="ignore"):  # factor_eig refuses a non-finite factor
+        for k, v in enumerate(vectors):
+            np.multiply(sqrt_l, v, out=f[:, d + k])
+    try:
+        return factor_eig(f)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"oracle failed on instance seed={instance.seed} meta={instance.meta}: {exc}"
+        ) from exc
 
 
 def jacobi_eig(a: SymmetricMatrix) -> EigenDecomposition:

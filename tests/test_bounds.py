@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,23 @@ class TestAlpha:
             bnd.alpha(a, np.array([1.0, 0.0]))
 
     @given(
+        st.floats(min_value=5e-324, max_value=sys.float_info.max),
+        st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    )
+    @settings(max_examples=300)
+    @pytest.mark.filterwarnings("error")
+    def test_positive_over_the_double_range(self, a, b):
+        # min/max underflows for far-apart arguments; alpha never does
+        assert 0.0 < bnd.alpha(a, b) <= 1.0
+        assert bnd.alpha(a, b) == bnd.alpha(b, a)
+        assert bnd.alpha(np.array([a]), b)[0] == bnd.alpha(a, b)
+
+    def test_extreme_pairs(self):
+        tiny, huge = 5e-324, sys.float_info.max
+        assert bnd.alpha(tiny, huge) == pytest.approx(math.sqrt(tiny) / math.sqrt(huge), rel=1e-6)
+        assert bnd.alpha(1.0, 1e-300) == math.sqrt(1e-300)  # a normal ratio keeps its bits
+
+    @given(
         st.floats(min_value=1e-8, max_value=1e8),
         st.floats(min_value=1e-8, max_value=1e8),
     )
@@ -74,6 +92,13 @@ def rank1_cases(draw):
     return spec, np.array(draw(st.lists(entry, min_size=spec.d, max_size=spec.d)))
 
 
+def _sqrt_ratio(mn, mx):
+    """sqrt(mn / mx) as `alpha` forms it: sqrt(mn) / sqrt(mx) where mn / mx
+    lies below the normal range, where the quotient has lost bits."""
+    r = mn / mx
+    return np.where(r < np.finfo(float).tiny, np.sqrt(mn) / np.sqrt(mx), np.sqrt(r))
+
+
 def _rank1_parent(spec, p, i):
     """`eigenvalue_bound_rank1` as it was before the ratio table: the ratio
     lambda_j / lambda_i is formed in every column, and overflows in the
@@ -87,7 +112,7 @@ def _rank1_parent(spec, p, i):
     lam_i = lam[i][..., None]
     tail = (d - i)[..., None]
     with np.errstate(over="ignore"):
-        threshold = lam_i * (1.0 - np.sqrt(lam / lam_i) * tail * p.v_inf * mag)
+        threshold = lam_i * (1.0 - _sqrt_ratio(lam, lam_i) * tail * p.v_inf * mag)
         feasible = (np.arange(d) >= i[..., None]) & (lam >= threshold)
         ji = np.argmax(np.where(feasible, mag, -1.0), axis=-1)
         return lam[i] * (1.0 + (d - i) * p.v_inf * mag[ji])
@@ -101,7 +126,7 @@ def _refined_parent(spec, p, i, j):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         applicable = mx > (1.0 + p.d * bnd._power(p.v_bound, 2)) * mn
         r = mn / mx
-        value = k / (1.0 - (1.0 + w) * r) * np.sqrt(r)
+        value = k / (1.0 - (1.0 + w) * r) * _sqrt_ratio(mn, mx)
     return np.where(applicable & (k < math.inf), np.minimum(1.0, value), 1.0)
 
 
@@ -479,10 +504,13 @@ class TestCmConstant:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowed_constant_with_underflowed_alpha_is_one(self):
-        # alpha(1e300, 1e-300) underflows to 0; each constant below overflows
-        # to inf (C_m; 5 d^2 V^4; w psi_inf(w)), and inf * 0 must not be nan
+        # the ratio 1e-300 / 1e300 underflows to 0, but alpha is formed as
+        # sqrt(1e-300) / sqrt(1e300) there and stays positive; each constant
+        # below overflows to inf (C_m; 5 d^2 V^4; w psi_inf(w)), and every
+        # bound is the vacuous 1, never nan
         spec = Spectrum([1e300, 1e-300])
-        assert bnd.alpha(1e300, 1e-300) == 0.0
+        assert 1e-300 / 1e300 == 0.0
+        assert bnd.alpha(1e300, 1e-300) == pytest.approx(1e-300, rel=1e-15)
         i, j = np.divmod(np.arange(4), 2)
         saturated = params(2, 4, 1.0)
         assert math.isinf(bnd.cm_constant(saturated))

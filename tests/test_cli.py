@@ -251,6 +251,22 @@ class TestCmdBounds:
         assert "  2  1.5e-300  1e-300  3e-300  2e-300  ok\n" in captured.out
         assert captured.out.endswith("overall: PASS\n")
 
+    def test_underflowing_ratio_bounds_every_coordinate(self, capsys, tmp_path):
+        # lambda_2 / lambda_1 = 1e-600 underflows to 0; the coordinate bounds
+        # (multiples of alpha = 1e-300) must still lie above the observed
+        # 5e-301, not at 0
+        f = tmp_path / "graded.txt"
+        f.write_text("lambdas = [1e300, 1e-300]\nvector = [1.0, 1.0]\n")
+        assert cli.main(["bounds", str(f)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = lines[lines.index("eigenvector coordinates:") + 2 : -2]
+        assert len(rows) == 4
+        for row in rows:
+            _, _, observed, *cells, verdict = row.split()
+            assert verdict == "ok"
+            assert len(cells) == 3 and all(float(c) >= float(observed) for c in cells), row
+        assert "  1  2  5e-301  2e-299  9.65685424949238e-300  6.4e-298  ok" in rows
+
     @pytest.mark.parametrize(
         "lambdas, vector",
         [([1.0] * 4, [-2.161505718645157e16, -2.161505718645157e16, 2.22775110140504e16, 0.0]),
@@ -770,6 +786,14 @@ REJECTIONS = {
     "bounds-repeated-key": (
         ["bounds", "{f}"], "lambdas = [3.0, 1.0]\nvector = [1.0, 1.0]\nlambdas = [5.0, 1.0]\n",
         None, 2, "error: line 3: lambdas is already set on line 1\n"),
+    "bounds-int-past-double-range": (
+        ["bounds", "{f}"], "lambdas = [1" + "0" * 400 + ", 1.0]\nvector = [1.0, 1.0]\n", None, 2,
+        "error: line 1: lambdas has an entry past the double range: "
+        "int too large to convert to float\n"),
+    "eig-int-past-double-range": (
+        ["eig", "{f}"], "lambdas = [2.0, 1.0]\nvector = [1.0, 1" + "0" * 400 + "]\n", None, 2,
+        "error: line 2: vector has an entry past the double range: "
+        "int too large to convert to float\n"),
     "bounds-csv-unwritable": (
         ["bounds", "{f}", "--csv", "/nonexistent/x.csv"],
         "lambdas = [100.0, 1.0]\nvector = [1.0, 1.0]\n", None, 2,
@@ -979,13 +1003,55 @@ class TestReadmeCommands:
             assert capsys.readouterr().err == "", line
 
 
-def _run_module(args):
-    """`python -W error -m eigenpert.cli ARGS` in a fresh interpreter."""
+# Run `cli.main(ARGS)` and print its exit code and every eigenpert module
+# the interpreter then holds on stderr, one line.
+LOADED_MODULES = """\
+import contextlib, io, sys
+from eigenpert import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "eigenpert"), file=sys.stderr)
+"""
+
+BASE_MODULES = ["eigenpert", "eigenpert.cli", "eigenpert.symmat"]
+CERTIFY_MODULES = BASE_MODULES + ["eigenpert.bounds", "eigenpert.harness"]
+
+
+class TestStartupModules:
+    # each command imports only the modules it runs: without a bytecode
+    # cache every module a process loads is compiled in that process
+    @pytest.mark.parametrize(
+        "args, modules",
+        [
+            (["eig", str(EXAMPLE_D5)], BASE_MODULES),
+            (["eig", str(GOLDEN_100), "--method", "secular"], BASE_MODULES + ["eigenpert.rankone"]),
+            (["bounds", str(EXAMPLE_D5)], CERTIFY_MODULES),
+            (["bounds", str(GOLDEN_100)], CERTIFY_MODULES + ["eigenpert.rankone"]),
+            (["scan", "--d", "5", "--m", "2", "--j", "2", "--lambda1", "1e2:1e4:3"],
+             CERTIFY_MODULES),
+            (["verify", "--d", "3", "--m", "2", "--seeds", "1"], CERTIFY_MODULES),
+        ],
+        ids=["eig", "eig-secular", "bounds-m2", "bounds-m1", "scan-m2", "verify-m2"],
+    )
+    def test_modules_loaded_by_each_command(self, args, modules):
+        proc = _run_python(["-c", LOADED_MODULES, *args])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == ["0", *sorted(modules)]
+
+
+def _run_python(argv):
+    """`python -W error ARGV` in a fresh interpreter that imports eigenpert
+    from this checkout's src/."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "eigenpert.cli", *args],
+        [sys.executable, "-W", "error", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
+
+
+def _run_module(args):
+    """`python -W error -m eigenpert.cli ARGS` in a fresh interpreter."""
+    return _run_python(["-m", "eigenpert.cli", *args])
