@@ -1,8 +1,9 @@
-"""Certified eigenvalue/eigenvector bounds for low-rank perturbations.
+"""Certified eigenvalue/eigenvector bounds for low-rank perturbations, and
+the reports that check them.
 
-Every function here is evaluated from the *unperturbed* spectrum and the
-perturbation directions alone -- never from the perturbed matrix -- so the
-harness can compare predictions against oracle truth.
+Every bound function here is evaluated from the *unperturbed* spectrum and
+the perturbation directions alone -- never from the perturbed matrix.
+`reports` compares the bounds with an eigendecomposition it is given.
 
 Indices are 0-based throughout the library; the CLI translates to the
 1-based convention used in file formats and printed tables.  The indices
@@ -214,13 +215,13 @@ def psi_inf(w):
 
 
 def capped(c: float, a):
-    """min(1, c a) for a constant c >= 0 and alpha values a in [0, 1]: an
+    """min(1, c a) for a constant c >= 0 and alpha values a in (0, 1]: an
     eigenvector bound from its constant and alpha(lambda_i, lambda_j).
 
-    A constant that overflowed to +inf makes the bound vacuous: 1, also where
-    alpha underflowed to 0 (where inf * 0 would give nan).
+    A constant that overflowed to +inf makes the bound the vacuous 1: alpha
+    never underflows to 0, so inf * a is +inf, never nan.
     """
-    return _value(np.minimum(1.0, c * a) if c < math.inf else np.ones_like(a))
+    return _value(np.minimum(1.0, c * a))
 
 
 def eigvec_bound_rank1(spec: Spectrum, p: BoundParams, i, j):
@@ -350,3 +351,105 @@ def make_report(kind: str, entries, notes=()) -> BoundReport:
     return BoundReport(
         kind=kind, entries=entries.view(np.recarray), passed=passed, notes=tuple(notes)
     )
+
+
+@functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)
+def _layout(d: int) -> tuple:
+    """The index arrays of every report at dimension d, built once per d.
+
+    Returns (idx, i, j), all read-only: idx = 0..d-1, and i, j the row-major
+    (i, j) pairs of the eigenvector kinds.
+    """
+    idx = np.arange(d)
+    i, j = np.divmod(np.arange(d * d), d)
+    layout = (idx, i, j)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+@functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)
+def _entries_template(d: int, kinds: tuple) -> tuple:
+    """The entries block of one `reports` call at dimension d whose reports
+    are `kinds`, in that order, built once per (d, kinds).
+
+    Returns (raw, lower, stops), all read-only: raw holds the bytes of one
+    ENTRY_DTYPE block with every report's i, j and side set (j = -1 for the
+    eigenvalue kinds, and each rank-m eigenvalue interval as its lower then
+    upper entry), lower marks its lower-side entries, and report k holds
+    the entries stops[k - 1]:stops[k] (from 0 for k = 0).  The block is
+    kept as bytes because numpy copies those several times faster than a
+    record array.
+    """
+    idx, i, j = _layout(d)
+    pairs = (np.repeat(idx, 2), -1, np.tile(["lower", "upper"], d))
+    columns = {"eigenvalue-rankm": pairs, "eigenvalue-rank1": (idx, -1, "upper")}
+    parts = [columns.get(kind, (i, j, "upper")) for kind in kinds]
+    stops = tuple(np.cumsum([len(part[0]) for part in parts]).tolist())
+    block = np.zeros(stops[-1], dtype=ENTRY_DTYPE)
+    for (pi, pj, side), a, b in zip(parts, (0, *stops), stops):
+        block["i"][a:b] = pi
+        block["j"][a:b] = pj
+        block["side"][a:b] = side
+    lower = block["side"] == "lower"
+    raw = block.view(np.uint8)
+    raw.flags.writeable = lower.flags.writeable = False
+    return raw, lower, stops
+
+
+def reports(spec: Spectrum, p: BoundParams, eig, bound_scale: float = 1.0) -> list:
+    """One BoundReport per applicable inequality: each bound kind on (spec, p)
+    evaluated once over the whole index grid and compared with the
+    eigendecomposition `eig`, every report a slice of one entries block.
+    `bound_scale` multiplies every bound before comparison."""
+    d = spec.d
+    idx, i, j = _layout(d)
+    nus = eig.values
+
+    lo, hi = eigenvalue_bound_rankm(spec, p, idx)
+    interval = np.empty(2 * d)  # each interval as its (lower, upper) pair
+    interval[0::2] = lo
+    interval[1::2] = hi
+    # (kind, observed, bound, notes) of each report, in report order
+    parts = [("eigenvalue-rankm", nus.repeat(2), interval, ())]
+
+    b6 = eigenvalue_bound_rank1(spec, p, idx)
+    if b6 is not None:
+        notes = [
+            f"refinement wins at i={k}: {b:.6g} < {h:.6g}"
+            for k, (b, h) in enumerate(zip(b6.tolist(), hi.tolist()))
+            if b < h
+        ]
+        parts.append(("eigenvalue-rank1", nus, b6, notes))
+
+    # eigenvector kinds: observed |[e_i]_j| at the row-major (i, j) pairs
+    observed = np.abs(eig.basis.T).ravel()
+    alpha_ij = ratio_table(spec)[1].ravel()
+    notes = ["C_m saturated: bound is vacuous (capped at 1)"] if math.isinf(p.cm) else ()
+    parts.append(("eigvec-rankm", observed, capped(p.cm, alpha_ij), notes))
+
+    if p.m == 1:
+        coarse = capped(p.c1, alpha_ij)
+        refined = eigvec_bound_rank1_refined(spec, p, i, j)
+        worse = refined > coarse
+        notes = [
+            f"refined bound exceeds coarse at (i={a}, j={b})"
+            for a, b in zip(i[worse].tolist(), j[worse].tolist())
+        ]
+        parts.append(("eigvec-rank1", observed, coarse, ()))
+        parts.append(("eigvec-rank1-refined", observed, refined, notes))
+
+    # one entries block for every report: i, j and side from the template,
+    # then the observed and bound columns and the slack
+    raw, lower, stops = _entries_template(d, tuple(part[0] for part in parts))
+    block = raw.copy().view(ENTRY_DTYPE)
+    obs = np.concatenate([part[1] for part in parts])
+    bound = np.concatenate([part[2] for part in parts])
+    bound *= bound_scale
+    block["observed"] = obs
+    block["bound"] = bound
+    block["slack"] = entry_slack(obs, bound, lower)
+    return [
+        make_report(kind, block[a:b], notes)
+        for (kind, _, _, notes), a, b in zip(parts, (0, *stops), stops)
+    ]

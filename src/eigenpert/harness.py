@@ -1,15 +1,16 @@
-"""Instance generation, randomized bound certification, and the tightness scan.
+"""Instance generation, the oracle runs of certification, and the tightness scan.
 
 Instances are generated from a SplitMix64 stream plus a Marsaglia polar
 transform, so every vector is reproducible bit-exactly from (seed, recipe)
 alone.  The per-vector stream is derived from (seed, d, m, vector index)
 and deliberately *not* from lambda_1: every condition number of one
 (seed, d, m) uses the same Gaussian realization, which a process draws once
-and shares between `gen_instance`, `certify` and `scan` (see `_grid_recipe`).
+and shares between `gen_instance`, `certify` and `scan` (see `_grid_perts`).
 
-`Instance` and the oracle live in `symmat`; `certify` and `scan` call the
-oracle as `_oracle`.  `rankone` is imported only by the m = 1 cross-check
-of `certify`, so a run with no m = 1 instance never loads it.
+`Instance` and the oracle live in `symmat`, and every report is built by
+`bounds.reports`; `certify` and `scan` call the oracle as `_oracle`.
+`rankone` is imported only by the m = 1 cross-check of `certify`, so a run
+with no m = 1 instance never loads it.
 """
 
 from __future__ import annotations
@@ -107,170 +108,62 @@ def gen_instance(d: int, m: int, lambda1: float, seed: int) -> Instance:
     lambda_j = lambda_1^((d-j)/(d-1)) for 1-based j, i.e. log-uniformly spaced
     with lambda_d = 1.  Vector streams do not depend on lambda_1.
     """
-    _, instance = _grid_recipe(d, m, seed)
-    return instance(lambda1)
+    perts = _grid_perts(d, m, seed)
+    if lambda1 < 1.0:
+        raise InputError(f"lambda1 must be >= 1, got {lambda1}")
+    return Instance(
+        spectrum=_grid_spectrum(d, lambda1),
+        perts=perts,
+        seed=seed,
+        meta=f"grid(d={d},m={m},lambda1={lambda1!r})",
+    )
 
 
 @functools.lru_cache(maxsize=bnd.REALIZATION_CACHE_SIZE)
-def _grid_recipe(d: int, m: int, seed: int) -> tuple:
-    """The lambda_1-free part of `gen_instance`, drawn once per process.
+def _grid_perts(d: int, m: int, seed: int) -> PerturbationSet:
+    """The seeded perturbations of `gen_instance`, drawn once per process.
 
-    Returns the seeded PerturbationSet and a function from lambda_1 to the
-    Instance at that condition number.  The pair is cached on (d, m, seed),
-    keeping the `bounds.REALIZATION_CACHE_SIZE` most recently used, so every
-    Instance of one realization, from `gen_instance` or `scan`, shares the
-    one PerturbationSet and, through it, one `BoundParams`; each Spectrum
-    comes from `_grid_spectrum`.  A d or m that fails validation raises on
-    every call: a raise is not cached.
+    Cached on (d, m, seed), keeping the `bounds.REALIZATION_CACHE_SIZE` most
+    recently used, so every Instance of one realization shares the one
+    PerturbationSet and, through it, one `BoundParams`.  A d or m that fails
+    validation raises on every call: a raise is not cached.
     """
     if d < 2:
         raise InputError(f"d must be >= 2 (the ratio grid is undefined at d={d})")
     if m < 0:
         raise InputError(f"m must be >= 0, got {m}")
     vectors = tuple(gaussian_vector(d, derive_seed(seed, d, m, k)) for k in range(m))
-    perts = PerturbationSet(vectors, dim=d)
-
-    def instance(lambda1: float) -> Instance:
-        if lambda1 < 1.0:
-            raise InputError(f"lambda1 must be >= 1, got {lambda1}")
-        return Instance(
-            spectrum=_grid_spectrum(d, lambda1),
-            perts=perts,
-            seed=seed,
-            meta=f"grid(d={d},m={m},lambda1={lambda1!r})",
-        )
-
-    return perts, instance
+    return PerturbationSet(vectors, dim=d)
 
 
 @functools.lru_cache(maxsize=bnd.REALIZATION_CACHE_SIZE)
 def _grid_spectrum(d: int, lambda1: float) -> Spectrum:
     """The geometric spectrum of `gen_instance`, one Spectrum object per
     (d, lambda_1), which every realization at that point shares, and with it
-    the ratio table `bounds.ratio_table` keeps per Spectrum.  A lambda_1
+    the ratio table `bounds` keeps per Spectrum.  A lambda_1
     whose spectrum fails validation raises on every call."""
     expo = np.array([(d - 1 - j) / (d - 1) for j in range(d)])
     return Spectrum(lambda1**expo)
-
-
-@functools.lru_cache(maxsize=bnd.REALIZATION_CACHE_SIZE)
-def _layout(d: int) -> tuple:
-    """The index arrays of every report at dimension d, built once per d.
-
-    Returns (idx, i, j), all read-only: idx = 0..d-1, and i, j the row-major
-    (i, j) pairs of the eigenvector kinds.
-    """
-    idx = np.arange(d)
-    i, j = np.divmod(np.arange(d * d), d)
-    layout = (idx, i, j)
-    for a in layout:
-        a.flags.writeable = False
-    return layout
-
-
-@functools.lru_cache(maxsize=bnd.REALIZATION_CACHE_SIZE)
-def _entries_template(d: int, kinds: tuple) -> tuple:
-    """The entries block of one `certify` call at dimension d whose reports
-    are `kinds`, in that order, built once per (d, kinds).
-
-    Returns (raw, lower, stops), all read-only: raw holds the bytes of one
-    ENTRY_DTYPE block with every report's i, j and side set (j = -1 for the
-    eigenvalue kinds, and each rank-m eigenvalue interval as its lower then
-    upper entry), lower marks its lower-side entries, and report k holds
-    the entries stops[k - 1]:stops[k] (from 0 for k = 0).  The block is
-    kept as bytes because numpy copies those several times faster than a
-    record array.
-    """
-    idx, i, j = _layout(d)
-    pairs = (np.repeat(idx, 2), -1, np.tile(["lower", "upper"], d))
-    columns = {"eigenvalue-rankm": pairs, "eigenvalue-rank1": (idx, -1, "upper")}
-    parts = [columns.get(kind, (i, j, "upper")) for kind in kinds]
-    stops = tuple(np.cumsum([len(part[0]) for part in parts]).tolist())
-    block = np.zeros(stops[-1], dtype=bnd.ENTRY_DTYPE)
-    for (pi, pj, side), a, b in zip(parts, (0, *stops), stops):
-        block["i"][a:b] = pi
-        block["j"][a:b] = pj
-        block["side"][a:b] = side
-    lower = block["side"] == "lower"
-    raw = block.view(np.uint8)
-    raw.flags.writeable = lower.flags.writeable = False
-    return raw, lower, stops
 
 
 def certify(instance: Instance, bound_scale: float = 1.0) -> list:
     """Evaluate every applicable bound against the oracle decomposition.
 
     Diagonalizes the perturbed matrix with the oracle (cross-checked
-    against the secular route when m = 1) and returns one BoundReport per
-    applicable inequality.  Each bound kind is evaluated once over the whole
-    index grid, with alpha(lambda_i, lambda_j) read from the spectrum's
-    ratio table, and the reports are slices of one entries block.
-    `bound_scale` multiplies every bound before comparison;
-    values below 1 are used by the falsification self-test.  A non-finite
-    `bound_scale` raises InputError: it would make the pass tolerance
-    infinite or every slack nan.
+    against the secular route when m = 1) and returns `bounds.reports` on
+    it: one BoundReport per applicable inequality.  `bound_scale`
+    multiplies every bound before comparison; values below 1 are used by
+    the falsification self-test.  A non-finite `bound_scale` raises
+    InputError: it would make the pass tolerance infinite or every slack
+    nan.
     """
     if not math.isfinite(bound_scale):
         raise InputError(f"bound scale must be finite, got {bound_scale!r}")
-    spec = instance.spectrum
-    perts = instance.perts
-    d = spec.d
-    m = perts.m
-    idx, i, j = _layout(d)
-
     eig = _oracle(instance)
-    if m == 1:
+    if instance.perts.m == 1:
         _crosscheck_rankone(instance, eig)
-    nus = eig.values
-    params = bnd.BoundParams.from_perturbations(perts)
-
-    lo, hi = bnd.eigenvalue_bound_rankm(spec, params, idx)
-    interval = np.empty(2 * d)  # each interval as its (lower, upper) pair
-    interval[0::2] = lo
-    interval[1::2] = hi
-    # (kind, observed, bound, notes) of each report, in report order
-    reports = [("eigenvalue-rankm", nus.repeat(2), interval, ())]
-
-    b6 = bnd.eigenvalue_bound_rank1(spec, params, idx)
-    if b6 is not None:
-        notes = [
-            f"refinement wins at i={k}: {b:.6g} < {h:.6g}"
-            for k, (b, h) in enumerate(zip(b6.tolist(), hi.tolist()))
-            if b < h
-        ]
-        reports.append(("eigenvalue-rank1", nus, b6, notes))
-
-    # eigenvector kinds: observed |[e_i]_j| at the row-major (i, j) pairs
-    observed = np.abs(eig.basis.T).ravel()
-    alpha_ij = bnd.ratio_table(spec)[1].ravel()
-    notes = ["C_m saturated: bound is vacuous (capped at 1)"] if math.isinf(params.cm) else ()
-    reports.append(("eigvec-rankm", observed, bnd.capped(params.cm, alpha_ij), notes))
-
-    if m == 1:
-        coarse = bnd.capped(params.c1, alpha_ij)
-        refined = bnd.eigvec_bound_rank1_refined(spec, params, i, j)
-        worse = refined > coarse
-        notes = [
-            f"refined bound exceeds coarse at (i={a}, j={b})"
-            for a, b in zip(i[worse].tolist(), j[worse].tolist())
-        ]
-        reports.append(("eigvec-rank1", observed, coarse, ()))
-        reports.append(("eigvec-rank1-refined", observed, refined, notes))
-
-    # one entries block for every report: i, j and side from the template,
-    # then the observed and bound columns and the slack
-    raw, lower, stops = _entries_template(d, tuple(r[0] for r in reports))
-    block = raw.copy().view(bnd.ENTRY_DTYPE)
-    obs = np.concatenate([r[1] for r in reports])
-    bound = np.concatenate([r[2] for r in reports])
-    bound *= bound_scale
-    block["observed"] = obs
-    block["bound"] = bound
-    block["slack"] = bnd.entry_slack(obs, bound, lower)
-    return [
-        bnd.make_report(kind, block[a:b], notes)
-        for (kind, _, _, notes), a, b in zip(reports, (0, *stops), stops)
-    ]
+    params = bnd.BoundParams.from_perturbations(instance.perts)
+    return bnd.reports(instance.spectrum, params, eig, bound_scale)
 
 
 def _crosscheck_rankone(instance: Instance, oracle: EigenDecomposition) -> None:
@@ -393,13 +286,13 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
         raise InputError("lambda1 grid values must be >= 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("lambda1 grid must be strictly ascending")
-    perts, instance = _grid_recipe(d, m, seed)  # rejects d < 2 before j is judged
+    perts = _grid_perts(d, m, seed)  # rejects d < 2 before j is judged
     if not 2 <= j <= d:
         raise InputError(f"j must lie in 2..d={d}, got {j}")
     params = bnd.BoundParams.from_perturbations(perts)
     records = []
     for lam1 in grid:
-        inst = instance(lam1)
+        inst = gen_instance(d, m, lam1, seed)
         eig = _oracle(inst)
         b8 = (
             bnd.eigvec_bound_rank1(inst.spectrum, params, 0, j - 1)

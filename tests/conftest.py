@@ -11,10 +11,10 @@ def clear_caches():
     """Empty every cache of `harness` and `bounds`: realizations, grid
     spectra, ratio tables, per-dimension layouts and entries templates."""
     for cache in (
-        harness._grid_recipe,
+        harness._grid_perts,
         harness._grid_spectrum,
-        harness._layout,
-        harness._entries_template,
+        bounds._layout,
+        bounds._entries_template,
         bounds.BoundParams.from_perturbations,
         bounds.ratio_table,
     ):

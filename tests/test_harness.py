@@ -38,7 +38,7 @@ class TestGenInstance:
 
     def test_bit_exact_regeneration(self):
         a = harness.gen_instance(7, 3, 1e6, seed=123)
-        harness._grid_recipe.cache_clear()
+        harness._grid_perts.cache_clear()
         b = harness.gen_instance(7, 3, 1e6, seed=123)
         assert a.perts is not b.perts
         assert a.meta == b.meta
@@ -251,16 +251,16 @@ class TestCertify:
             ]
 
         warm = snapshot()
-        for cache in (harness._grid_recipe, harness._grid_spectrum, harness._layout,
-                      harness._entries_template, bnd.ratio_table):
+        for cache in (harness._grid_perts, harness._grid_spectrum, bnd._layout,
+                      bnd._entries_template, bnd.ratio_table):
             assert cache.cache_info().hits > 0
         clear_caches()
         assert snapshot() == warm
 
         # the per-dimension layout, the entries templates, the ratio table
         # and the m = 1 constants are read-only
-        template = harness._entries_template(5, ("eigenvalue-rankm", "eigvec-rankm"))
-        shared = (*harness._layout(5), *template[:2], *bnd.ratio_table(a.spectrum))
+        template = bnd._entries_template(5, ("eigenvalue-rankm", "eigvec-rankm"))
+        shared = (*bnd._layout(5), *template[:2], *bnd.ratio_table(a.spectrum))
         for arr in (*shared, params(a.perts).w, params(a.perts).w_psi):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
