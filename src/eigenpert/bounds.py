@@ -53,8 +53,9 @@ def _power(x: float, n: int) -> float:
 
 
 def passes(slack, bound):
-    """The pass rule for an observed-vs-certified comparison."""
-    return slack >= -PASS_RTOL * np.maximum(1.0, bound)
+    """The pass rule for an observed-vs-certified comparison: the slack may
+    fall below 0 by at most PASS_RTOL relative to the bound."""
+    return slack >= -PASS_RTOL * np.abs(bound)
 
 
 def entry_slack(observed, bound, lower):

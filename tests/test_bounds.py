@@ -593,7 +593,7 @@ class TestReports:
     def test_pass_rule(self):
         rep = upper_report([0.5], [0.6])
         assert rep.passed and rep.worst_slack == pytest.approx(0.1)
-        # violation beyond -1e-9 * max(1, bound) fails
+        # violation beyond -1e-9 * |bound| fails
         assert not upper_report([0.5, 0.5 + 3e-9], [0.6, 0.5]).passed
         # tiny violation within tolerance passes
         assert upper_report([0.5 + 1e-10], [0.5]).passed
@@ -608,6 +608,14 @@ class TestReports:
         assert e.side == "lower" and e.slack == 1.0 and rep.passed
         # a lower entry whose bound exceeds its observation fails
         assert not bnd.make_report("eigenvalue-rankm", [row._replace(slack=-1.0)]).passed
+
+    @pytest.mark.parametrize("observed", [1e-10, 1e-160, 5e-321])
+    def test_half_bound_fails_below_1e_9(self, observed):
+        # the tolerance is relative to the bound alone: a bound that misses
+        # by a factor of two fails however small the observation
+        assert not upper_report([observed], [observed / 2]).passed
+        lower = record_entries([0], -1, [observed], [2 * observed], "lower")
+        assert not bnd.make_report("eigenvalue-rankm", lower).passed
 
     def test_pass_rule_broadcasts(self):
         slack = np.array([0.0, -0.5e-9, -2e-9, -1.5e-6])

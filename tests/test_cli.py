@@ -267,6 +267,16 @@ class TestCmdBounds:
             assert len(cells) == 3 and all(float(c) >= float(observed) for c in cells), row
         assert "  1  2  5e-301  2e-299  9.65685424949238e-300  6.4e-298  ok" in rows
 
+    def test_eigenvalue_below_its_tiny_interval_fails(self, capsys, tmp_path):
+        # the oracle's nu_3 = 5.0e-321 lies below lambda_3 = 1e-320 (the true
+        # value is 5.0e-161): a slack of -5e-321 is no longer forgiven
+        f = tmp_path / "graded.txt"
+        f.write_text("lambdas = [1.0, 1e-160, 1e-320]\nvector = [1.0, 1e80, 1e160]\n")
+        assert cli.main(["bounds", str(f)]) == 1
+        out = capsys.readouterr().out
+        assert "  3  4.99994433591342e-321  9.99988867182683e-321  inf  inf  FAIL\n" in out
+        assert out.count("FAIL") == 2 and out.endswith("overall: FAIL\n")
+
     @pytest.mark.parametrize(
         "lambdas, vector",
         [([1.0] * 4, [-2.161505718645157e16, -2.161505718645157e16, 2.22775110140504e16, 0.0]),

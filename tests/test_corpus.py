@@ -34,7 +34,7 @@ N_FILES = 400
 CORPUS_SEED = 0xC0DE
 # exit code -> runs, per command, over the whole corpus
 TALLIES = {
-    "bounds": {0: 307, 1: 1, 3: 92},
+    "bounds": {0: 305, 1: 3, 3: 92},
     "eig": {0: 313, 3: 87},
     "eig-secular": {0: 68, 3: 11},
 }
