@@ -363,10 +363,8 @@ def _layout(d: int) -> tuple:
     """
     idx = np.arange(d)
     i, j = np.divmod(np.arange(d * d), d)
-    layout = (idx, i, j)
-    for a in layout:
-        a.flags.writeable = False
-    return layout
+    idx.flags.writeable = i.flags.writeable = j.flags.writeable = False
+    return idx, i, j
 
 
 @functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)

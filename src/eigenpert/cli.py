@@ -81,6 +81,13 @@ def parse_instance_text(text: str, source: str = "<string>") -> Instance:
             value = ast.literal_eval(rhs)
         except (ValueError, SyntaxError) as exc:
             raise InstanceParseError(line_no, f"cannot parse value {rhs!r}: {exc}") from exc
+        if key in ("dim", "seed", "recipe"):
+            try:
+                repr(value)  # messages print dim and seed, and meta holds the recipe
+            except ValueError:  # an integer past Python's string-conversion limit
+                limit = sys.get_int_max_str_digits()
+                message = f"{key} holds an integer of more than {limit} digits"
+                raise InstanceParseError(line_no, message) from None
 
         def as_floats(seq, what):
             try:

@@ -140,8 +140,8 @@ def _grid_perts(d: int, m: int, seed: int) -> PerturbationSet:
 def _grid_spectrum(d: int, lambda1: float) -> Spectrum:
     """The geometric spectrum of `gen_instance`, one Spectrum object per
     (d, lambda_1), which every realization at that point shares, and with it
-    the ratio table `bounds` keeps per Spectrum.  A lambda_1
-    whose spectrum fails validation raises on every call."""
+    the ratio table `bounds` keeps per Spectrum.  A lambda_1 whose spectrum
+    fails validation raises on every call."""
     expo = np.array([(d - 1 - j) / (d - 1) for j in range(d)])
     return Spectrum(lambda1**expo)
 
@@ -260,9 +260,7 @@ class ScanRecord:
     seed: int
 
     def __post_init__(self):
-        limit = min(self.bound_rankm, self.bound_rank1) if math.isfinite(
-            self.bound_rank1
-        ) else self.bound_rankm
+        limit = min(self.bound_rankm, self.bound_rank1)  # a nan bound_rank1 is never smaller
         if not bnd.passes(limit - self.observed, limit):
             raise ValueError(
                 f"scan record violates soundness: observed {self.observed!r} "
@@ -294,11 +292,7 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
     for lam1 in grid:
         inst = gen_instance(d, m, lam1, seed)
         eig = _oracle(inst)
-        b8 = (
-            bnd.eigvec_bound_rank1(inst.spectrum, params, 0, j - 1)
-            if m == 1
-            else math.nan
-        )
+        b8 = bnd.eigvec_bound_rank1(inst.spectrum, params, 0, j - 1) if m == 1 else math.nan
         records.append(
             ScanRecord(
                 d=d,

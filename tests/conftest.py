@@ -1,9 +1,10 @@
+import ctypes
 import math
 
 import numpy as np
 import pytest
 
-from eigenpert import bounds, harness
+from eigenpert import bounds, harness, symmat
 from eigenpert.symmat import PerturbationSet, Spectrum
 
 
@@ -26,6 +27,16 @@ def _fresh_realization_caches():
     """Start every test with every cache empty, so call counts and
     monkeypatched draws do not depend on which tests ran before."""
     clear_caches()
+
+
+def shifted_dlaed9(*args):
+    """LAPACK's dlaed9, then its lowest secular root moved to half the lowest
+    pole, below the root's interlacing interval.  Patched in as
+    `symmat._dlaed9`, where `symmat.bind_dlaed9` returns it."""
+    symmat._lapack_function(symmat.DLAED9_SYMBOL, None, *[ctypes.c_void_p] * 13)(*args)
+    n = args[3]._obj.value  # every argument is an address: n is passed by reference
+    roots = (ctypes.c_double * n).from_address(args[4])
+    roots[0] = (ctypes.c_double * n).from_address(args[8])[0] / 2.0
 
 
 def quadratic_eigenvalues(a: np.ndarray) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from eigenpert import bounds, cli, harness, symmat
 from eigenpert.symmat import EigenDecomposition
-from conftest import mp_eigensolve
+from conftest import mp_eigensolve, shifted_dlaed9
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -804,6 +804,15 @@ REJECTIONS = {
         ["eig", "{f}"], "lambdas = [2.0, 1.0]\nvector = [1.0, 1" + "0" * 400 + "]\n", None, 2,
         "error: line 2: vector has an entry past the double range: "
         "int too large to convert to float\n"),
+    "eig-dim-too-long": (
+        ["eig", "{f}"], "dim = 0x" + "f" * 4000 + "\nlambdas = [2.0, 1.0]\n", None, 2,
+        "error: line 1: dim holds an integer of more than 4300 digits\n"),
+    "eig-seed-too-long": (
+        ["eig", "{f}"], "seed = 0x" + "f" * 4000 + "\n" + OVERFLOWING_EIGENVALUE, None, 2,
+        "error: line 1: seed holds an integer of more than 4300 digits\n"),
+    "eig-recipe-too-long": (
+        ["eig", "{f}"], "lambdas = [2.0, 1.0]\nrecipe = 0x" + "f" * 4000 + "\n", None, 2,
+        "error: line 2: recipe holds an integer of more than 4300 digits\n"),
     "bounds-csv-unwritable": (
         ["bounds", "{f}", "--csv", "/nonexistent/x.csv"],
         "lambdas = [100.0, 1.0]\nvector = [1.0, 1.0]\n", None, 2,
@@ -865,6 +874,10 @@ REJECTIONS = {
         "lambdas = [2.0, 1.0]\nvector = [0.7071067811865476, 1e-11]\n", None, 3,
         "error: numerical failure: secular root nu=1.0 lies within 1e-14 relative of "
         "undeflated pole lambda[1]=1.0; deflation thresholds are misconfigured\n"),
+    "secular-root-outside-interval": (
+        ["eig", "{f}", "--method", "secular"],
+        "lambdas = [3.0, 2.0, 1.0]\nvector = [1.0, 1.0, 1.0]\n", {"_dlaed9": shifted_dlaed9}, 3,
+        "error: numerical failure: secular root 2 violates interlacing: nu=0.5 lambda=1.0\n"),
     "lapack-binding": (
         ["verify", "--d", "2", "--m", "1", "--seeds", "1"], None,
         {"DGEJSV_SYMBOL": "nope", "_dgejsv": None}, 3,

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eigenpert import symmat
 from eigenpert.harness import CROSSCHECK_RTOL
 from eigenpert.rankone import (
     DeflationError,
     RankOneUpdate,
+    SecularBracketError,
     rankone_full,
     secular_eigenvalues,
 )
@@ -20,7 +22,7 @@ from eigenpert.symmat import (
     build_perturbed,
     jacobi_eig,
 )
-from conftest import align_sign, gen_rankone_instance, mp_eigensolve, s_formula
+from conftest import align_sign, gen_rankone_instance, mp_eigensolve, s_formula, shifted_dlaed9
 
 
 def update(lams, z):
@@ -346,6 +348,15 @@ class TestSecularEigenvalues:
             # nu_1 never exceeds the trace bound lambda_1 + ||z||^2
             z2 = float(np.sum(lam * v * v))
             assert sol.values[0] <= lam[0] + z2 + slack[0]
+
+    def test_root_outside_its_interval_is_named(self, monkeypatch):
+        # a root the solver put below its lowest pole (0.5 under lambda_3 = 1)
+        # is refused, naming its 0-based index, its value and its pole
+        monkeypatch.setattr(symmat, "_dlaed9", shifted_dlaed9)
+        u = RankOneUpdate.from_direction(Spectrum([3.0, 2.0, 1.0]), [1.0, 1.0, 1.0])
+        with pytest.raises(SecularBracketError) as info:
+            secular_eigenvalues(u)
+        assert str(info.value) == "secular root 2 violates interlacing: nu=0.5 lambda=1.0"
 
 
 class TestBnsEigenvector:
