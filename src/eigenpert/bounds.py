@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symmat import PerturbationSet, Spectrum
+from .symmat import EigenDecomposition, PerturbationSet, Spectrum
 
 # Relative tolerance of the pass rule (see `passes`).
 PASS_RTOL = 1e-9
@@ -396,7 +396,9 @@ def _entries_template(d: int, kinds: tuple) -> tuple:
     return raw, lower, stops
 
 
-def reports(spec: Spectrum, p: BoundParams, eig, bound_scale: float = 1.0) -> list:
+def reports(
+    spec: Spectrum, p: BoundParams, eig: EigenDecomposition, bound_scale: float
+) -> list:
     """One BoundReport per applicable inequality: each bound kind on (spec, p)
     evaluated once over the whole index grid and compared with the
     eigendecomposition `eig`, every report a slice of one entries block.
