@@ -110,7 +110,9 @@ class BoundParams:
     bounds are derived once, here: `cm` is the rank-m constant
     `cm_constant`, `c1` the m = 1 constant 5 d^2 V^4, and `w`, `w_psi` the
     refined bound's per-row w = (d - i) V^2 and w psi_inf(w) (read-only
-    arrays over i = 0..d-1).
+    arrays over i = 0..d-1).  `v1_abs` is |v_1|, read-only, where the
+    refined eigenvalue bound can apply (m = 1 and no entry of v_1 is zero),
+    and None otherwise.
 
     `from_perturbations` returns one shared instance per PerturbationSet
     object (it hashes by identity, and its vectors are read-only).
@@ -125,16 +127,19 @@ class BoundParams:
     c1: float = field(init=False, repr=False, compare=False)
     w: np.ndarray = field(init=False, repr=False, compare=False)
     w_psi: np.ndarray = field(init=False, repr=False, compare=False)
+    v1_abs: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d, v_inf = self.perts.dim, self.perts.v_inf
         v_bound = max(1.0 / math.sqrt(d), v_inf)
-        w = (d - np.arange(d)) * _power(v_bound, 2)
-        with np.errstate(over="ignore"):  # past the double range it is inf
+        with np.errstate(over="ignore"):  # past the double range they are inf
+            w = (d - np.arange(d)) * _power(v_bound, 2)
             w_psi = w * psi_inf(w)
-        w.flags.writeable = w_psi.flags.writeable = False
+        v1_abs = np.abs(self.perts.vectors[0]) if self.perts.m == 1 else np.zeros(1)
+        w.flags.writeable = w_psi.flags.writeable = v1_abs.flags.writeable = False
         for name, value in (("d", d), ("m", self.perts.m), ("v_bound", v_bound), ("v_inf", v_inf),
-                            ("c1", 5.0 * d**2 * _power(v_bound, 4)), ("w", w), ("w_psi", w_psi)):
+                            ("c1", 5.0 * d**2 * _power(v_bound, 4)), ("w", w), ("w_psi", w_psi),
+                            ("v1_abs", v1_abs if v1_abs.all() else None)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "cm", cm_constant(self))  # reads d, m and v_bound
 
@@ -169,25 +174,25 @@ def eigenvalue_bound_rank1(spec: Spectrum, p: BoundParams, i):
     Never looser than the rank-m interval at m = 1; strictly tighter whenever
     |v_{j_i}| < d vinf / (d - i).
     """
-    if p.m != 1 or not spec.is_strict:
-        return None
-    mag = np.abs(p.perts.vectors[0])
-    if not mag.all():
+    mag = p.v1_abs
+    if mag is None or not spec.is_strict:
         return None
     lam = spec.lambdas
     d = spec.d
-    i = np.asarray(i)
-    out_of_range = (i < 0) | (i >= d)
-    if out_of_range.any():
-        raise IndexError(f"index {i[out_of_range].flat[0]} out of range for d={d}")
-    lam_i = lam[i][..., None]
-    tail = (d - i)[..., None]
+    idx, _, _, upper, tail = _layout(d)
+    a = ratio_table(spec)[1]
+    if i is not idx:  # the layout's own index array is the full grid: in range, rows in order
+        i = np.asarray(i)
+        out_of_range = (i < 0) | (i >= d)
+        if out_of_range.any():
+            raise IndexError(f"index {i[out_of_range].flat[0]} out of range for d={d}")
+        a, upper, tail = a[i], idx >= i[..., None], (d - i)[..., None]
     # sqrt(lambda_j / lambda_i) for j >= i; the mask drops the columns j < i,
     # where the table holds lambda_i / lambda_j.  Past the double range the
     # bound is +inf, vacuous like a saturated C_m
     with np.errstate(over="ignore"):
-        threshold = lam_i * (1.0 - ratio_table(spec)[1][i] * tail * p.v_inf * mag)
-        feasible = (np.arange(d) >= i[..., None]) & (lam >= threshold)
+        threshold = lam[i][..., None] * (1.0 - a * tail * p.v_inf * mag)
+        feasible = upper & (lam >= threshold)
         ji = np.argmax(np.where(feasible, mag, -1.0), axis=-1)
         return _value(lam[i] * (1.0 + (d - i) * p.v_inf * mag[ji]))
 
@@ -358,13 +363,18 @@ def make_report(kind: str, entries, notes=()) -> BoundReport:
 def _layout(d: int) -> tuple:
     """The index arrays of every report at dimension d, built once per d.
 
-    Returns (idx, i, j), all read-only: idx = 0..d-1, and i, j the row-major
-    (i, j) pairs of the eigenvector kinds.
+    Returns (idx, i, j, upper, tail), all read-only: idx = 0..d-1, i and j
+    the row-major (i, j) pairs of the eigenvector kinds, and over the full
+    grid of rows i the mask upper[i, j] = (j >= i) and the column
+    tail[i] = d - i of `eigenvalue_bound_rank1`.
     """
     idx = np.arange(d)
     i, j = np.divmod(np.arange(d * d), d)
-    idx.flags.writeable = i.flags.writeable = j.flags.writeable = False
-    return idx, i, j
+    upper = idx >= idx[:, None]
+    tail = (d - idx)[:, None]
+    for arr in (idx, i, j, upper, tail):
+        arr.flags.writeable = False
+    return idx, i, j, upper, tail
 
 
 @functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)
@@ -372,15 +382,15 @@ def _entries_template(d: int, kinds: tuple) -> tuple:
     """The entries block of one `reports` call at dimension d whose reports
     are `kinds`, in that order, built once per (d, kinds).
 
-    Returns (raw, lower, stops), all read-only: raw holds the bytes of one
-    ENTRY_DTYPE block with every report's i, j and side set (j = -1 for the
-    eigenvalue kinds, and each rank-m eigenvalue interval as its lower then
-    upper entry), lower marks its lower-side entries, and report k holds
-    the entries stops[k - 1]:stops[k] (from 0 for k = 0).  The block is
-    kept as bytes because numpy copies those several times faster than a
-    record array.
+    Returns (raw, lower, starts, stops), all read-only: raw holds the bytes
+    of one ENTRY_DTYPE block with every report's i, j and side set (j = -1
+    for the eigenvalue kinds, and each rank-m eigenvalue interval as its
+    lower then upper entry), lower marks its lower-side entries, and report
+    k holds the entries starts[k]:stops[k] (an index array and a tuple).
+    The block is kept as bytes because numpy copies those several times
+    faster than a record array.
     """
-    idx, i, j = _layout(d)
+    idx, i, j, _, _ = _layout(d)
     pairs = (np.repeat(idx, 2), -1, np.tile(["lower", "upper"], d))
     columns = {"eigenvalue-rankm": pairs, "eigenvalue-rank1": (idx, -1, "upper")}
     parts = [columns.get(kind, (i, j, "upper")) for kind in kinds]
@@ -392,8 +402,9 @@ def _entries_template(d: int, kinds: tuple) -> tuple:
         block["side"][a:b] = side
     lower = block["side"] == "lower"
     raw = block.view(np.uint8)
-    raw.flags.writeable = lower.flags.writeable = False
-    return raw, lower, stops
+    starts = np.array((0, *stops[:-1]))
+    raw.flags.writeable = lower.flags.writeable = starts.flags.writeable = False
+    return raw, lower, starts, stops
 
 
 def reports(
@@ -402,9 +413,11 @@ def reports(
     """One BoundReport per applicable inequality: each bound kind on (spec, p)
     evaluated once over the whole index grid and compared with the
     eigendecomposition `eig`, every report a slice of one entries block.
-    `bound_scale` multiplies every bound before comparison."""
+    `bound_scale` multiplies every bound before comparison.  The pass rule
+    runs once, over the whole block, and each report passes when every
+    entry of its slice does (`make_report`'s verdict on that slice)."""
     d = spec.d
-    idx, i, j = _layout(d)
+    idx, i, j, _, _ = _layout(d)
     nus = eig.values
 
     lo, hi = eigenvalue_bound_rankm(spec, p, idx)
@@ -442,15 +455,17 @@ def reports(
 
     # one entries block for every report: i, j and side from the template,
     # then the observed and bound columns and the slack
-    raw, lower, stops = _entries_template(d, tuple(part[0] for part in parts))
+    raw, lower, starts, stops = _entries_template(d, tuple(part[0] for part in parts))
     block = raw.copy().view(ENTRY_DTYPE)
     obs = np.concatenate([part[1] for part in parts])
     bound = np.concatenate([part[2] for part in parts])
     bound *= bound_scale
+    slack = entry_slack(obs, bound, lower)
     block["observed"] = obs
     block["bound"] = bound
-    block["slack"] = entry_slack(obs, bound, lower)
+    block["slack"] = slack
+    verdicts = np.logical_and.reduceat(passes(slack, bound), starts).tolist()
     return [
-        make_report(kind, block[a:b], notes)
-        for (kind, _, _, notes), a, b in zip(parts, (0, *stops), stops)
+        BoundReport(kind, block[a:b].view(np.recarray), passed, tuple(notes))
+        for (kind, _, _, notes), a, b, passed in zip(parts, starts.tolist(), stops, verdicts)
     ]

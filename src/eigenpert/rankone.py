@@ -68,7 +68,7 @@ class RankOneUpdate:
             raise ValueError(
                 f"z has shape {arr.shape}, expected ({self.spectrum.d},)"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("z has non-finite entries")
         arr.flags.writeable = False
         object.__setattr__(self, "z", arr)
@@ -183,24 +183,29 @@ def _dlaed9_solve(la: np.ndarray, za: np.ndarray, coords: np.ndarray) -> tuple:
     root by the coordinate `coords[k]` of its lower pole.
     """
     n = la.size
-    znorm = float(np.linalg.norm(za))
+    znorm = math.sqrt(za @ za)  # as np.linalg.norm forms it
     top = max(float(la[0]), znorm * znorm)
     # dlaed4 squares pole distances and their reciprocals: a problem whose
     # top lies outside [RMIN, 1/RMIN] is solved scaled by a power of two
     scale = 1.0 if _RMIN <= top <= 1.0 / _RMIN else math.ldexp(1.0, math.frexp(top)[1])
-    poles = la[::-1] / scale
-    w = za[::-1] / znorm
-    # dlaed9 stops at the first root dlaed4 fails on, and leaves the roots
-    # above it as they were: -inf, below every root
-    roots = np.full(n, -np.inf)
-    q, work = np.empty((n, n)), np.empty((n, n))
+    # dlaed9's arrays, from one block of 8-byte words: the poles ascending,
+    # z of unit norm, the roots, q and its work array.  dlaed9 stops at the
+    # first root dlaed4 fails on, and leaves the roots above it as they
+    # were: -inf, below every root
+    buf = np.empty(3 * n + 2 * n * n)
+    poles, w, roots, q = buf[:n], buf[n : 2 * n], buf[2 * n : 3 * n], buf[3 * n : 3 * n + n * n]
+    np.divide(la[::-1], scale, out=poles)
+    np.divide(za[::-1], znorm, out=w)
+    roots.fill(-np.inf)
+    addr = buf.ctypes.data
     size, start, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64()
     nref = ctypes.byref(size)
-    bind_dlaed9()(nref, ctypes.byref(start), nref, nref, roots.ctypes.data, q.ctypes.data, nref,
-                  ctypes.byref(ctypes.c_double(znorm * znorm / scale)), poles.ctypes.data,
-                  w.ctypes.data, work.ctypes.data, nref, ctypes.byref(info))
-    with np.errstate(over="ignore"):
-        roots *= scale
+    bind_dlaed9()(nref, ctypes.byref(start), nref, nref, addr + 16 * n, addr + 24 * n, nref,
+                  ctypes.byref(ctypes.c_double(znorm * znorm / scale)), addr, addr + 8 * n,
+                  addr + 8 * (3 * n + n * n), nref, ctypes.byref(info))
+    if scale != 1.0:
+        with np.errstate(over="ignore"):
+            roots *= scale
     finite = np.isfinite(roots)
     if info.value != 0 or not finite.all():
         # ascending index of the failed root: the last one written, or the
@@ -213,12 +218,15 @@ def _dlaed9_solve(la: np.ndarray, za: np.ndarray, coords: np.ndarray) -> tuple:
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         # dlaed9 leaves q[i, j] = w_j / (poles_j - nu_i) in ascending order,
-        # with its recomputed w.  Descending from here: root k lies between
-        # poles k and k - 1
-        lower = (w / np.diagonal(q))[::-1]
-        upper = np.append(np.inf, (w[1:] / np.diagonal(q, 1))[::-1])
-    up = np.abs(upper) < np.abs(lower)
-    return roots[::-1], np.arange(n) - up, np.where(up, upper, lower), scale
+        # with its recomputed w: root i lies between poles i and i + 1, and
+        # these are its offsets from the two (the top root has no pole above)
+        below = w / q[:: n + 1]
+        above = w[1:] / q[1 :: n + 1]
+    up = np.abs(above) < np.abs(below[:-1])
+    np.copyto(below[:-1], above, where=up)
+    near = np.arange(n)
+    near[1:] -= up[::-1]
+    return roots[::-1], near, below[::-1], scale
 
 
 def _eigenvectors(sol: SecularSolution) -> np.ndarray:
@@ -254,7 +262,7 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
     d = u.spectrum.d
     z = u.z
     with np.errstate(over="ignore"):
-        znorm = float(np.linalg.norm(z))
+        znorm = math.sqrt(z @ z)  # as np.linalg.norm forms it
     total = znorm * znorm
     # the top eigenvalue is at least ||z||^2; deflating against an infinite
     # norm would return the unperturbed spectrum
@@ -291,22 +299,22 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
     act = np.array(active, dtype=int)
     z_rot = np.array(z_rot) if rotations else z
     deflated = np.array(deflated)
+    lam_act = lam[act]
     if act.size <= 2:
-        roots, near, offset = _closed_form_roots(lam[act], z_rot[act] ** 2)
+        roots, near, offset = _closed_form_roots(lam_act, z_rot[act] ** 2)
         scale = 1.0
     else:
-        roots, near, offset, scale = _dlaed9_solve(lam[act], z_rot[act], act)
+        roots, near, offset, scale = _dlaed9_solve(lam_act, z_rot[act], act)
 
     slot_values = lam.copy()
     slot_values[act] = roots
-    order = np.argsort(-slot_values, kind="stable")
+    order = (-slot_values).argsort(kind="stable")
 
-    values = slot_values[order]
-    la = lam[act] / scale
+    la = lam_act / scale
     sol = SecularSolution(
-        values=values,
-        deflated=deflated[order].copy(),
-        _slots=order.copy(),
+        values=slot_values[order],
+        deflated=deflated[order],
+        _slots=order,
         _active=act,
         _la=la,
         _dist=(la - la[near, None]) + offset[:, None],
@@ -321,13 +329,11 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
 def _check_interlacing(u: RankOneUpdate, sol: SecularSolution) -> None:
     """Cheap post-solve sanity: lambda_i <= nu_i <= lambda_i (1 + d*vinf^2)."""
     lam = u.spectrum.lambdas
-    v = u.z / np.sqrt(lam)
-    vinf = float(np.max(np.abs(v))) if v.size else 0.0
+    vinf = float(np.abs(u.z / np.sqrt(lam)).max())
     vinf2 = vinf * vinf  # +inf past the double range, without a numpy warning
-    d = u.spectrum.d
     slack = 1e-9 * lam
     with np.errstate(over="ignore"):  # the upper end is +inf past the double range
-        upper = lam * (1.0 + d * vinf2)
+        upper = lam * (1.0 + lam.size * vinf2)
     outside = (sol.values < lam - slack) | (sol.values > upper + slack)
     if outside.any():
         bad = int(np.argmax(outside))

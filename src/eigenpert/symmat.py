@@ -90,9 +90,9 @@ class Spectrum:
     def d(self) -> int:
         return int(self.lambdas.size)
 
-    @property
+    @functools.cached_property
     def is_strict(self) -> bool:
-        """True when all eigenvalues are strictly decreasing."""
+        """True when all eigenvalues are strictly decreasing; computed once."""
         return bool((self.lambdas[1:] < self.lambdas[:-1]).all())
 
 

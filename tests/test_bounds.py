@@ -300,9 +300,41 @@ def _rank1_reference(spec, v, i):
     return float(spec.lambdas[i]) * (1.0 + (spec.d - i) * vinf * abs(float(v[j])))
 
 
+@st.composite
+def full_grid_cases(draw):
+    """A spectrum from the smallest subnormal to 1e300 with ties, and m <= 2
+    directions with entries up to 1e154 in magnitude, zeros included."""
+    d = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.floats(5e-324, 1e300), min_size=1, max_size=d))
+    lambdas = sorted(draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d)), reverse=True)
+    entry = st.one_of(st.just(0.0), st.floats(-1e154, 1e154, allow_nan=False))
+    m = draw(st.integers(0, 2))
+    return Spectrum(lambdas), [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(m)]
+
+
 class TestJIndex:
     """The pivot j_i of the rank-one eigenvalue refinement, seen through the
     bound it selects."""
+
+    @given(full_grid_cases())
+    @settings(max_examples=300)
+    def test_full_grid_matches_scalar_calls(self, case):
+        # over the whole index grid, whether the caller's arange or the
+        # per-dimension layout's, the bound is the scalar calls' bit for bit,
+        # and None exactly for m != 1, a tie in lambda or a zero entry of v
+        spec, vectors = case
+        lam, d = spec.lambdas, spec.d
+        p = bnd.BoundParams(PerturbationSet(vectors, dim=d))
+        assert spec.is_strict == bool((lam[1:] < lam[:-1]).all())
+        applies = len(vectors) == 1 and len(set(lam.tolist())) == d and 0.0 not in vectors[0]
+        scalars = [bnd.eigenvalue_bound_rank1(spec, p, i) for i in range(d)]
+        for idx in (np.arange(d), bnd._layout(d)[0]):
+            grid = bnd.eigenvalue_bound_rank1(spec, p, idx)
+            assert (grid is None) == (not applies)
+            if applies:
+                assert grid.tobytes() == np.array(scalars).tobytes()
+            else:
+                assert scalars == [None] * d
 
     def test_array_form_matches_loop_reference(self):
         insts = [gen_rankone_instance(seed) for seed in range(200)]

@@ -318,24 +318,63 @@ class TestCertify:
          ([8.0, 4.0, 2.0, 1.0], [[1.0, 0.5, 0.25, 0.125]], 5)],
         ids=["m0", "m1-flat", "m1-strict"],
     )
-    def test_one_make_report_call_per_report(self, monkeypatch, lambdas, vectors, n_reports):
+    def test_one_passes_call_per_reports_call(self, monkeypatch, lambdas, vectors, n_reports):
         from eigenpert.symmat import PerturbationSet, Spectrum
 
         calls = []
-        make_report = bnd.make_report
-        monkeypatch.setattr(bnd, "make_report", lambda *a: calls.append(a[0]) or make_report(*a))
+        passes = bnd.passes
+        monkeypatch.setattr(bnd, "passes", lambda *a: calls.append(len(a[0])) or passes(*a))
         inst = harness.Instance(
             spectrum=Spectrum(lambdas),
             perts=PerturbationSet(vectors, dim=len(lambdas)),
             seed=0,
-            meta="make-report-count",
+            meta="passes-count",
         )
         reports = harness.certify(inst)
-        assert calls == [r.kind for r in reports] and len(reports) == n_reports
+        # the pass rule runs once, over the entries of every report
+        assert len(reports) == n_reports
+        assert calls == [sum(len(r.entries) for r in reports)]
         # the reports are consecutive slices of one entries block
         starts = [r.entries.ctypes.data for r in reports]
         ends = [r.entries.ctypes.data + r.entries.nbytes for r in reports]
         assert starts[1:] == ends[:-1]
+
+    def test_verdicts_match_make_report_over_the_default_grid(self):
+        # each report's verdict is make_report's verdict on its own entries
+        for scale in (1.0, 0.9):
+            failed = 0
+            for pt in harness.default_grid():
+                inst = harness.gen_instance(pt.d, pt.m, pt.lambda1, pt.seed)
+                for rep in harness.certify(inst, scale):
+                    assert rep.passed == bnd.make_report(rep.kind, rep.entries).passed
+                    failed += not rep.passed
+            assert (failed > 0) == (scale < 1.0)
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_one_failing_entry_fails_only_its_report(self, monkeypatch, where):
+        # one failing entry at either end of the middle report and a nan
+        # slack at the end of the last report fail those two reports alone
+        inst = harness.gen_instance(4, 1, 1e2, 0)
+        kinds = [r.kind for r in harness.certify(inst)]
+        sizes = [len(r.entries) for r in harness.certify(inst)]
+        mid = len(kinds) // 2
+        edges = np.cumsum([0, *sizes])
+        bad = edges[mid] if where == "first" else edges[mid + 1] - 1
+        entry_slack = bnd.entry_slack
+
+        def broken(observed, bound, lower):
+            slack = entry_slack(observed, bound, lower)
+            slack[bad] = -1.0
+            slack[-1] = np.nan
+            return slack
+
+        monkeypatch.setattr(bnd, "entry_slack", broken)
+        reports = harness.certify(inst)
+        assert [r.kind for r in reports] == kinds and kinds[mid] == "eigvec-rankm"
+        assert [r.passed for r in reports] == [k not in (mid, len(kinds) - 1)
+                                               for k in range(len(kinds))]
+        for rep in reports:
+            assert rep.passed == bnd.make_report(rep.kind, rep.entries).passed
 
     def test_every_cache_is_cleared_between_tests(self):
         # every functools cache of harness and bounds (module functions and
