@@ -178,7 +178,7 @@ def _crosscheck_rankone(instance: Instance, oracle: EigenDecomposition) -> None:
     if (diff > tol).any():
         i = int(np.argmax(diff - tol))
         raise OracleMismatchError(
-            f"secular and Jacobi eigenvalues disagree at index {i}: "
+            f"secular and Jacobi eigenvalues disagree at index {i + 1}: "
             f"{float(sec.values[i])!r} vs {float(oracle.values[i])!r} "
             f"(instance seed={instance.seed}, meta={instance.meta})"
         )

@@ -213,7 +213,7 @@ def _dlaed9_solve(la: np.ndarray, za: np.ndarray, coords: np.ndarray) -> tuple:
         f = int(np.count_nonzero(roots != -np.inf)) - 1 if info.value else int(finite.argmin())
         k = n - 1 - f
         raise ConvergenceError(
-            f"LAPACK dlaed9 failed on the secular root above lambda[{int(coords[k])}]="
+            f"LAPACK dlaed9 failed on the secular root above lambda[{int(coords[k]) + 1}]="
             f"{float(la[k])!r}: info = {info.value}, nu = {float(roots[f])!r}"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,7 +338,7 @@ def _check_interlacing(u: RankOneUpdate, sol: SecularSolution) -> None:
     if outside.any():
         bad = int(np.argmax(outside))
         raise SecularBracketError(
-            f"secular root {bad} violates interlacing: nu={float(sol.values[bad])!r} "
+            f"secular root {bad + 1} violates interlacing: nu={float(sol.values[bad])!r} "
             f"lambda={float(lam[bad])!r}"
         )
 
@@ -363,7 +363,7 @@ def rankone_full(spec: Spectrum, v) -> EigenDecomposition:
         k, j = np.argwhere(tight)[0]
         message = (
             f"secular root nu={_root(sol, k)!r} lies within "
-            f"1e-14 relative of undeflated pole lambda[{act[j]}]={float(la[j])!r}; "
+            f"1e-14 relative of undeflated pole lambda[{act[j] + 1}]={float(la[j])!r}; "
             "deflation thresholds are misconfigured"
         )
         # a caller that keeps the error keeps this frame through its traceback
@@ -377,7 +377,7 @@ def rankone_full(spec: Spectrum, v) -> EigenDecomposition:
         k = int(finite.argmin())
         raise ConvergenceError(
             f"the eigenvector of secular root nu={_root(sol, k)!r} above "
-            f"lambda[{act[k]}]={float(la[k])!r} has a norm that overflows"
+            f"lambda[{act[k] + 1}]={float(la[k])!r} has a norm that overflows"
         )
     if act.size == spec.d:  # nothing deflated, so nothing rotated either
         basis = vectors.T

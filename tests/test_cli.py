@@ -405,11 +405,11 @@ class TestNumericalFailure:
         "args, text, message",
         [
             (["verify", "--d", "3", "--m", "1", "--lambda1-list", "1e100", "--seeds", "1"],
-             None, "secular and Jacobi eigenvalues disagree at index 1: 1e+50 vs "),
+             None, "secular and Jacobi eigenvalues disagree at index 2: 1e+50 vs "),
             (["eig", "{f}", "--method", "secular"],
              "lambdas = [2.0, 1.0]\nvector = [0.7071067811865476, 1e-11]\n",
              "secular root nu=1.0 lies within 1e-14 relative of undeflated pole "
-             "lambda[1]=1.0"),
+             "lambda[2]=1.0"),
             (["verify", "--d", "2", "--m", "1", "--lambda1-list", "1e308", "--seed-list", "2"],
              None, "seed=2 meta=grid(d=2,m=1,lambda1=1e+308): an eigenvalue overflows"),
             # the top eigenvalue is 5e308, which no double holds
@@ -427,7 +427,7 @@ class TestNumericalFailure:
             # pole 1e-320 is about 1e160
             (["eig", "{f}", "--method", "secular"],
              "lambdas = [1.0, 1e-160, 1e-320]\nvector = [1.0, 1e80, 1e160]\n",
-             "above lambda[2]=1e-320 has a norm that overflows"),
+             "above lambda[3]=1e-320 has a norm that overflows"),
             # ||z||^2 = 1e-506 rounds to zero: no weight is left to solve for
             (["eig", "{f}", "--method", "secular"],
              "lambdas = [1e-54, 1e-54]\nvector = [1e-226, 1e-228]\n",
@@ -436,14 +436,14 @@ class TestNumericalFailure:
             # only the cross-check sees (at d = 20 two roots stay active, at
             # d = 50 five, solved scaled by dlaed9)
             (["verify", "--d", "20", "--m", "1", "--lambda1-list", "1e250", "--seeds", "1"],
-             None, "secular and Jacobi eigenvalues disagree at index 2: "),
+             None, "secular and Jacobi eigenvalues disagree at index 3: "),
             (["verify", "--d", "50", "--m", "1", "--lambda1-list", "1e250", "--seeds", "1"],
-             None, "secular and Jacobi eigenvalues disagree at index 5: "),
+             None, "secular and Jacobi eigenvalues disagree at index 6: "),
             # z = (1, 1, 1) over poles 1e300, 1e140, 1e-20: dlaed4 solves the
             # lowest root and fails on the next one
             (["eig", "{f}", "--method", "secular"],
              "lambdas = [1e300, 1e140, 1e-20]\nvector = [1e-150, 1e-70, 1e10]\n",
-             "LAPACK dlaed9 failed on the secular root above lambda[1]=1e+140: info = 1, nu = nan"),
+             "LAPACK dlaed9 failed on the secular root above lambda[2]=1e+140: info = 1, nu = nan"),
             # sqrt(lambda) v = 1e350 lies past the double range, in F and in z
             (["eig", "{f}"], OVERFLOWING_FACTOR, "the factor has a non-finite entry"),
             (["bounds", "{f}"], OVERFLOWING_FACTOR, "the factor has a non-finite entry"),
@@ -867,17 +867,17 @@ REJECTIONS = {
         "error: numerical failure: an eigenvalue overflows: ||z||^2 exceeds the double range\n"),
     "oracle-mismatch": (
         ["verify", "--d", "3", "--m", "1", "--lambda1-list", "1e100", "--seeds", "1"], None, None,
-        3, "error: numerical failure: secular and Jacobi eigenvalues disagree at index 1: "
+        3, "error: numerical failure: secular and Jacobi eigenvalues disagree at index 2: "
         "1e+50 vs 1.1523583053740006e+50 (instance seed=0, meta=grid(d=3,m=1,lambda1=1e+100))\n"),
     "deflation": (
         ["eig", "{f}", "--method", "secular"],
         "lambdas = [2.0, 1.0]\nvector = [0.7071067811865476, 1e-11]\n", None, 3,
         "error: numerical failure: secular root nu=1.0 lies within 1e-14 relative of "
-        "undeflated pole lambda[1]=1.0; deflation thresholds are misconfigured\n"),
+        "undeflated pole lambda[2]=1.0; deflation thresholds are misconfigured\n"),
     "secular-root-outside-interval": (
         ["eig", "{f}", "--method", "secular"],
         "lambdas = [3.0, 2.0, 1.0]\nvector = [1.0, 1.0, 1.0]\n", {"_dlaed9": shifted_dlaed9}, 3,
-        "error: numerical failure: secular root 2 violates interlacing: nu=0.5 lambda=1.0\n"),
+        "error: numerical failure: secular root 3 violates interlacing: nu=0.5 lambda=1.0\n"),
     "lapack-binding": (
         ["verify", "--d", "2", "--m", "1", "--seeds", "1"], None,
         {"DGEJSV_SYMBOL": "nope", "_dgejsv": None}, 3,

@@ -351,12 +351,12 @@ class TestSecularEigenvalues:
 
     def test_root_outside_its_interval_is_named(self, monkeypatch):
         # a root the solver put below its lowest pole (0.5 under lambda_3 = 1)
-        # is refused, naming its 0-based index, its value and its pole
+        # is refused, naming its 1-based index, its value and its pole
         monkeypatch.setattr(symmat, "_dlaed9", shifted_dlaed9)
         u = RankOneUpdate.from_direction(Spectrum([3.0, 2.0, 1.0]), [1.0, 1.0, 1.0])
         with pytest.raises(SecularBracketError) as info:
             secular_eigenvalues(u)
-        assert str(info.value) == "secular root 2 violates interlacing: nu=0.5 lambda=1.0"
+        assert str(info.value) == "secular root 3 violates interlacing: nu=0.5 lambda=1.0"
 
 
 class TestBnsEigenvector:
