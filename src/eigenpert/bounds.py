@@ -456,7 +456,7 @@ def reports(
     # one entries block for every report: i, j and side from the template,
     # then the observed and bound columns and the slack
     raw, lower, starts, stops = _entries_template(d, tuple(part[0] for part in parts))
-    block = raw.copy().view(ENTRY_DTYPE)
+    block = np.frombuffer(raw.copy(), ENTRY_DTYPE)  # skips the field check .view() makes
     obs = np.concatenate([part[1] for part in parts])
     bound = np.concatenate([part[2] for part in parts])
     bound *= bound_scale

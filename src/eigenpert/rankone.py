@@ -115,9 +115,7 @@ class SecularSolution:
     _rotations: tuple = field(repr=False)
 
     def __post_init__(self):
-        for name in ("values", "deflated"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
+        self.values.flags.writeable = self.deflated.flags.writeable = False
 
     @property
     def d(self) -> int:
