@@ -135,6 +135,7 @@ class BoundParams:
         with np.errstate(over="ignore"):  # past the double range they are inf
             w = (d - np.arange(d)) * _power(v_bound, 2)
             w_psi = w * psi_inf(w)
+        # |v_1|, or a zero that makes v1_abs None where m != 1
         v1_abs = np.abs(self.perts.vectors[0]) if self.perts.m == 1 else np.zeros(1)
         w.flags.writeable = w_psi.flags.writeable = v1_abs.flags.writeable = False
         for name, value in (("d", d), ("m", self.perts.m), ("v_bound", v_bound), ("v_inf", v_inf),
@@ -386,7 +387,8 @@ def _entries_template(d: int, kinds: tuple) -> tuple:
     of one ENTRY_DTYPE block with every report's i, j and side set (j = -1
     for the eigenvalue kinds, and each rank-m eigenvalue interval as its
     lower then upper entry), lower marks its lower-side entries, and report
-    k holds the entries starts[k]:stops[k] (an index array and a tuple).
+    k holds the entries starts[k]:stops[k] (starts an index array, stops a
+    tuple).
     The block is kept as bytes because numpy copies those several times
     faster than a record array.
     """
