@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .symmat import EigenDecomposition, PerturbationSet, Spectrum
+from .symmat import EigenDecomposition, PerturbationSet, ReadOnly, Spectrum
 
 # Relative tolerance of the pass rule (see `passes`).
 PASS_RTOL = 1e-9
@@ -100,8 +99,7 @@ def ratio_table(spec: Spectrum) -> tuple:
     return r, a
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(ReadOnly):
     """The constants every bound on one realization is stated with, derived
     from its perturbations: the dimension `d`, the number `m` of rank-one
     terms, the raw max infinity norm `v_inf` (used by the rank-m eigenvalue
@@ -114,35 +112,30 @@ class BoundParams:
     refined eigenvalue bound can apply (m = 1 and no entry of v_1 is zero),
     and None otherwise.
 
+    Two compare equal when they are built from the same PerturbationSet;
     `from_perturbations` returns one shared instance per PerturbationSet
     object (it hashes by identity, and its vectors are read-only).
     """
 
-    perts: PerturbationSet = field(repr=False)
-    d: int = field(init=False)
-    m: int = field(init=False)
-    v_bound: float = field(init=False)
-    v_inf: float = field(init=False)
-    cm: float = field(init=False, repr=False, compare=False)
-    c1: float = field(init=False, repr=False, compare=False)
-    w: np.ndarray = field(init=False, repr=False, compare=False)
-    w_psi: np.ndarray = field(init=False, repr=False, compare=False)
-    v1_abs: np.ndarray | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        d, v_inf = self.perts.dim, self.perts.v_inf
+    def __init__(self, perts: PerturbationSet):
+        d, v_inf = perts.dim, perts.v_inf
         v_bound = max(1.0 / math.sqrt(d), v_inf)
         with np.errstate(over="ignore"):  # past the double range they are inf
             w = (d - np.arange(d)) * _power(v_bound, 2)
             w_psi = w * psi_inf(w)
         # |v_1|, or a zero that makes v1_abs None where m != 1
-        v1_abs = np.abs(self.perts.vectors[0]) if self.perts.m == 1 else np.zeros(1)
+        v1_abs = np.abs(perts.vectors[0]) if perts.m == 1 else np.zeros(1)
         w.flags.writeable = w_psi.flags.writeable = v1_abs.flags.writeable = False
-        for name, value in (("d", d), ("m", self.perts.m), ("v_bound", v_bound), ("v_inf", v_inf),
-                            ("c1", 5.0 * d**2 * _power(v_bound, 4)), ("w", w), ("w_psi", w_psi),
-                            ("v1_abs", v1_abs if v1_abs.all() else None)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "cm", cm_constant(self))  # reads d, m and v_bound
+        vars(self).update(perts=perts, d=d, m=perts.m, v_bound=v_bound, v_inf=v_inf,
+                          c1=5.0 * d**2 * _power(v_bound, 4), w=w, w_psi=w_psi,
+                          v1_abs=v1_abs if v1_abs.all() else None)
+        vars(self)["cm"] = cm_constant(self)  # reads d, m and v_bound
+
+    def __eq__(self, other):
+        return self.perts is other.perts if type(other) is BoundParams else NotImplemented
+
+    def __hash__(self):
+        return hash(self.perts)
 
     @classmethod
     @functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)
@@ -326,8 +319,7 @@ REPORT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All entries for one inequality kind on one instance.
 
     `entries` is one record array of ENTRY_DTYPE: its columns read as

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .symmat import (
     InputError,
     Instance,
     PerturbationSet,
+    ReadOnly,
     Spectrum,
 )
 from .symmat import oracle as _oracle  # looked up at call time, so it can be patched
@@ -184,8 +185,7 @@ def _crosscheck_rankone(instance: Instance, oracle: EigenDecomposition) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     d: int
     m: int
     lambda1: float
@@ -209,8 +209,7 @@ def default_grid(
     ]
 
 
-@dataclass(frozen=True)
-class CertifySummary:
+class CertifySummary(NamedTuple):
     n_instances: int
     n_reports: int
     failures: tuple  # (GridPoint, kind) pairs
@@ -241,32 +240,31 @@ def certify_grid(points, bound_scale: float = 1.0) -> CertifySummary:
     )
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(ReadOnly):
     """One tightness-scan sample: |[e_1]_j| against its certified bounds.
 
     `j` is the 1-based coordinate label used by file formats and plots;
-    `bound_rank1` is nan unless m = 1.
+    `bound_rank1` is nan unless m = 1.  Two records compare equal field by
+    field.
     """
 
-    d: int
-    m: int
-    j: int
-    lambda1: float
-    ratio: float
-    observed: float
-    bound_rankm: float
-    bound_rank1: float
-    seed: int
-
-    def __post_init__(self):
-        limit = min(self.bound_rankm, self.bound_rank1)  # a nan bound_rank1 is never smaller
-        if not bnd.passes(limit - self.observed, limit):
+    def __init__(self, d: int, m: int, j: int, lambda1: float, ratio: float, observed: float,
+                 bound_rankm: float, bound_rank1: float, seed: int):
+        limit = min(bound_rankm, bound_rank1)  # a nan bound_rank1 is never smaller
+        if not bnd.passes(limit - observed, limit):
             raise ValueError(
-                f"scan record violates soundness: observed {self.observed!r} "
-                f"exceeds bound {limit!r} (d={self.d}, m={self.m}, j={self.j}, "
-                f"lambda1={self.lambda1!r}, seed={self.seed})"
+                f"scan record violates soundness: observed {observed!r} "
+                f"exceeds bound {limit!r} (d={d}, m={m}, j={j}, "
+                f"lambda1={lambda1!r}, seed={seed})"
             )
+        vars(self).update(d=d, m=m, j=j, lambda1=lambda1, ratio=ratio, observed=observed,
+                          bound_rankm=bound_rankm, bound_rank1=bound_rank1, seed=seed)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is ScanRecord else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
@@ -309,8 +307,7 @@ def scan(d: int, m: int, j: int, lambda1_grid, seed: int) -> list:
     return records
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(NamedTuple):
     """OLS fit of log10(observed) against log10(ratio) on the gated points."""
 
     slope: float

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .symmat import (
     ConvergenceError,
     EigenDecomposition,
+    ReadOnly,
     Spectrum,
     apply_sign_convention,
     bind_dlaed9,
@@ -55,23 +55,17 @@ class DeflationError(ConvergenceError):
     """A secular root landed on an undeflated pole: thresholds misconfigured."""
 
 
-@dataclass(frozen=True, eq=False)
-class RankOneUpdate:
+class RankOneUpdate(ReadOnly):
     """Diagonal spectrum plus update direction z (so the matrix is D + z z^T)."""
 
-    spectrum: Spectrum
-    z: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.z, dtype=float)
-        if arr.ndim != 1 or arr.size != self.spectrum.d:
-            raise ValueError(
-                f"z has shape {arr.shape}, expected ({self.spectrum.d},)"
-            )
+    def __init__(self, spectrum: Spectrum, z):
+        arr = np.array(z, dtype=float)
+        if arr.ndim != 1 or arr.size != spectrum.d:
+            raise ValueError(f"z has shape {arr.shape}, expected ({spectrum.d},)")
         if not np.isfinite(arr).all():
             raise ValueError("z has non-finite entries")
         arr.flags.writeable = False
-        object.__setattr__(self, "z", arr)
+        vars(self).update(spectrum=spectrum, z=arr)
 
     @classmethod
     def from_direction(cls, spectrum: Spectrum, v) -> "RankOneUpdate":
@@ -90,8 +84,7 @@ class RankOneUpdate:
         return cls(spectrum, z)
 
 
-@dataclass(frozen=True, eq=False)
-class SecularSolution:
+class SecularSolution(ReadOnly):
     """Updated eigenvalues (descending) plus deflation bookkeeping.
 
     `deflated[k]` is True where the update left the original eigenvalue
@@ -101,21 +94,16 @@ class SecularSolution:
     to its nearer pole: the first difference is exact where the two poles
     are close, so every distance keeps full relative accuracy.
     `_eigenvectors` forms the eigenvectors, and the rotated weights and the
-    Givens rotations serve the full eigenbasis.
+    Givens rotations serve the full eigenbasis.  `_slots` maps each sorted
+    position to its coordinate, `_active` lists the active coordinates and
+    `_la` is lambda[active] / `_scale`.
     """
 
-    values: np.ndarray
-    deflated: np.ndarray
-    _slots: np.ndarray = field(repr=False)            # sorted position -> coordinate
-    _active: np.ndarray = field(repr=False)           # active coordinates, lambda descending
-    _la: np.ndarray = field(repr=False)               # lambda[active] / _scale
-    _dist: np.ndarray = field(repr=False)             # [k, j]: pole distance / _scale
-    _scale: float = field(repr=False)
-    _z_rot: np.ndarray = field(repr=False)
-    _rotations: tuple = field(repr=False)
-
-    def __post_init__(self):
-        self.values.flags.writeable = self.deflated.flags.writeable = False
+    def __init__(self, values, deflated, *, _slots, _active, _la, _dist, _scale, _z_rot,
+                 _rotations):
+        values.flags.writeable = deflated.flags.writeable = False
+        vars(self).update(values=values, deflated=deflated, _slots=_slots, _active=_active,
+                          _la=_la, _dist=_dist, _scale=_scale, _z_rot=_z_rot, _rotations=_rotations)
 
     @property
     def d(self) -> int:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,14 +64,28 @@ class NotPositiveDefiniteError(ValueError):
         self.eigenvalue = eigenvalue
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues of the unperturbed matrix: strictly positive, descending."""
+class ReadOnly:
+    """Base of the classes whose `__init__` validates its fields and stores
+    them in `vars(self)`: assigning or deleting an attribute afterwards
+    raises AttributeError.  The repr lists the fields."""
 
-    lambdas: np.ndarray
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 
-    def __post_init__(self):
-        arr = np.array(self.lambdas, dtype=float)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Spectrum(ReadOnly):
+    """Eigenvalues of the unperturbed matrix: strictly positive, descending.
+    Compares and hashes by identity."""
+
+    def __init__(self, lambdas):
+        arr = np.array(lambdas, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise InputError("spectrum must be a non-empty 1-D sequence")
         if not np.isfinite(arr).all():
@@ -84,7 +98,7 @@ class Spectrum:
             bad = int(np.argmax(rises))
             raise InputError(f"spectrum must be non-increasing; violated at index {bad}")
         arr.flags.writeable = False
-        object.__setattr__(self, "lambdas", arr)
+        vars(self)["lambdas"] = arr
 
     @property
     def d(self) -> int:
@@ -96,17 +110,14 @@ class Spectrum:
         return bool((self.lambdas[1:] < self.lambdas[:-1]).all())
 
 
-@dataclass(frozen=True, eq=False)
-class PerturbationSet:
-    """The rank-one directions v_1..v_m and their max infinity norm `v_inf`."""
+class PerturbationSet(ReadOnly):
+    """The rank-one directions v_1..v_m and their max infinity norm `v_inf`.
+    Compares and hashes by identity."""
 
-    vectors: tuple
-    dim: int | None = None
-
-    def __post_init__(self):
+    def __init__(self, vectors, dim: int | None = None):
         vecs = []
-        d = self.dim
-        for k, v in enumerate(self.vectors):
+        d = dim
+        for k, v in enumerate(vectors):
             arr = np.array(v, dtype=float)
             if arr.ndim != 1:
                 raise DimensionMismatchError(f"vector {k} is not 1-D", vector_index=k)
@@ -124,8 +135,7 @@ class PerturbationSet:
             raise InputError("dim is required when the vector list is empty")
         if d < 1:
             raise InputError("dim must be >= 1")
-        object.__setattr__(self, "vectors", tuple(vecs))
-        object.__setattr__(self, "dim", int(d))
+        vars(self).update(vectors=tuple(vecs), dim=int(d))
 
     @property
     def m(self) -> int:
@@ -139,8 +149,7 @@ class PerturbationSet:
         return float(np.abs(self.vectors).max())
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A (spectrum, perturbations) pair with its reproduction recipe."""
 
     spectrum: Spectrum
@@ -157,39 +166,32 @@ class Instance:
         return self.perts.m
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricMatrix:
+class SymmetricMatrix(ReadOnly):
     """Dense d x d storage; entries are exactly symmetric."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+    def __init__(self, entries):
+        arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not np.array_equal(arr, arr.T):
             raise ValueError("entries are not exactly symmetric")
         arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        vars(self)["entries"] = arr
 
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
+class EigenDecomposition(ReadOnly):
     """Descending eigenvalues with an orthonormal, sign-fixed eigenbasis.
 
     Column k of `basis` pairs with `values[k]`.
     """
 
-    values: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        bas = np.array(self.basis, dtype=float)
+    def __init__(self, values, basis):
+        vals = np.array(values, dtype=float)
+        bas = np.array(basis, dtype=float)
         d = vals.size
         if bas.shape != (d, d):
             raise ValueError(f"basis shape {bas.shape} does not match {d} eigenvalues")
@@ -200,10 +202,8 @@ class EigenDecomposition:
         resid = float(np.abs(gram, out=gram).max())
         if not resid <= ORTHONORMALITY_TOL:  # a nan residual is refused too
             raise ValueError(f"basis is not orthonormal: residual {resid:.3e}")
-        vals.flags.writeable = False
-        bas.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "basis", bas)
+        vals.flags.writeable = bas.flags.writeable = False
+        vars(self).update(values=vals, basis=bas)
 
     @property
     def d(self) -> int:

@@ -1,5 +1,5 @@
-import dataclasses
 import hashlib
+import inspect
 import math
 import sys
 
@@ -586,7 +586,7 @@ class TestCmConstant:
 class TestBoundParams:
     def test_built_from_perturbations_alone(self):
         # perts is the one init parameter, and V = max(1/sqrt(d), v_inf)
-        assert [f.name for f in dataclasses.fields(bnd.BoundParams) if f.init] == ["perts"]
+        assert list(inspect.signature(bnd.BoundParams).parameters) == ["perts"]
         with pytest.raises(TypeError):
             bnd.BoundParams(d=4, m=1, v_bound=0.1, v_inf=0.1)
         for v, v_bound in ((0.1, 0.5), (0.75, 0.75)):
