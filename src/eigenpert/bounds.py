@@ -424,7 +424,7 @@ def reports(
     b6 = eigenvalue_bound_rank1(spec, p, idx)
     if b6 is not None:
         notes = [
-            f"refinement wins at i={k}: {b:.6g} < {h:.6g}"
+            f"refinement wins at i={k + 1}: {b:.6g} < {h:.6g}"
             for k, (b, h) in enumerate(zip(b6.tolist(), hi.tolist()))
             if b < h
         ]

@@ -550,7 +550,7 @@ class TestNumericalFailure:
                 "  1  2  1e-100  1  1  1  ok\n"
                 "  2  1  0  1  1  1  ok\n"
                 "  2  2  1  1  1  1  ok\n"
-                "note (eigenvalue-rank1): refinement wins at i=1: 1e+180 < 2e+180\n"
+                "note (eigenvalue-rank1): refinement wins at i=2: 1e+180 < 2e+180\n"
                 "note (eigvec-rankm): C_m saturated: bound is vacuous (capped at 1)\n"
                 "overall: PASS\n",
             ),
@@ -567,7 +567,7 @@ class TestNumericalFailure:
                 "  1  2  0.525731112119134  1  1  1  ok\n"
                 "  2  1  0.525731112119134  1  1  1  ok\n"
                 "  2  2  0.85065080835204  1  1  1  ok\n"
-                "note (eigenvalue-rank1): refinement wins at i=1: 1 < 2\n"
+                "note (eigenvalue-rank1): refinement wins at i=2: 1 < 2\n"
                 "note (eigvec-rankm): C_m saturated: bound is vacuous (capped at 1)\n"
                 "overall: PASS\n",
             ),

@@ -422,8 +422,8 @@ class TestCertify:
                 for j in sorted({2, d}):
                     scans.update(repr(harness.scan(d, m, j, grid, seed=7)).encode())
         assert [report_digest(1.0), report_digest(0.9), scans.hexdigest()] == [
-            "e239110dc1d70a8dde99687e13cf1e1f1ad3b8823d2191ea62bb89875ed4d3b5",
-            "5e9eb945e5ca5864caf523a5e405547c221b43c2be98f4fddc5696adddb3bbab",
+            "4ee91c21f514bd53ac53fc806182952f4751d51f026b12ac1a246b4c81ccce45",
+            "2195f0b8ac5e76ef65491fd461ddd0c3b774d8bb0e13a25765e26989b4b3f80b",
             "c376b99150d347dad7d74b375e5daf9db2365996a2d344c15901febfd712f716",
         ]
 
