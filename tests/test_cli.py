@@ -1044,7 +1044,7 @@ CERTIFY_MODULES = BASE_MODULES + ["eigenpert.bounds", "eigenpert.harness"]
 class TestStartupModules:
     # each command imports only the modules it runs: without a bytecode
     # cache every module a process loads is compiled in that process.  None
-    # imports dataclasses, whose decorators cost about 0.5 ms a class
+    # imports dataclasses, whose decorator takes about 0.6 ms a class
     @pytest.mark.parametrize(
         "args, modules",
         [
