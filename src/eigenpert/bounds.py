@@ -236,6 +236,14 @@ def eigvec_bound_rank1_refined(spec: Spectrum, p: BoundParams, i, j):
     Also capped at 1: a unit-vector coordinate never exceeds 1, and the raw
     expression blows up towards the applicability boundary.  Where its
     constant w psi_inf(w) overflows, the bound is the vacuous 1.
+
+    Never looser than the coarse m = 1 bound min(1, 5 x^2 alpha), x = d V^2
+    >= 1.  Where the refinement does not apply, alpha >= (1 + x)^(-1/2), so
+    5 x^2 alpha >= 5 / sqrt(2) > 1 and both bounds are 1.  Where it applies
+    and the coarse bound is below 1, alpha < 1 / (5 x^2); with w <= x,
+    w psi_inf(w) <= (1 + sqrt(5)) x^2 and (1 + w) alpha^2 <= 2/25, so the
+    refined bound is at most (1 + sqrt(5)) (25/23) x^2 alpha, about
+    3.5 x^2 alpha.
     """
     lami, lamj = spec.lambdas[i], spec.lambdas[j]
     mx, mn = np.maximum(lami, lamj), np.minimum(lami, lamj)
@@ -437,15 +445,9 @@ def reports(
     parts.append(("eigvec-rankm", observed, capped(p.cm, alpha_ij), notes))
 
     if p.m == 1:
-        coarse = capped(p.c1, alpha_ij)
         refined = eigvec_bound_rank1_refined(spec, p, i, j)
-        worse = refined > coarse
-        notes = [
-            f"refined bound exceeds coarse at (i={a}, j={b})"
-            for a, b in zip(i[worse].tolist(), j[worse].tolist())
-        ]
-        parts.append(("eigvec-rank1", observed, coarse, ()))
-        parts.append(("eigvec-rank1-refined", observed, refined, notes))
+        parts.append(("eigvec-rank1", observed, capped(p.c1, alpha_ij), ()))
+        parts.append(("eigvec-rank1-refined", observed, refined, ()))
 
     # one entries block for every report: i, j and side from the template,
     # then the observed and bound columns and the slack

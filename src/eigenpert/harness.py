@@ -9,8 +9,9 @@ and shares between `gen_instance`, `certify` and `scan` (see `_grid_perts`).
 
 `Instance` and the oracle live in `symmat`, and every report is built by
 `bounds.reports`; `certify` and `scan` call the oracle as `_oracle`.
-`rankone` is imported only by the m = 1 cross-check of `certify`, so a run
-with no m = 1 instance never loads it.
+`rankone` is imported only by the m = 1 cross-check of `certify`, which
+hands `secular_eigenvalues` the instance's spectrum and its one direction,
+so a run with no m = 1 instance never loads it.
 """
 
 from __future__ import annotations
@@ -169,11 +170,9 @@ def certify(instance: Instance, bound_scale: float = 1.0) -> list:
 
 def _crosscheck_rankone(instance: Instance, oracle: EigenDecomposition) -> None:
     """Jacobi vs secular eigenvalues must agree to CROSSCHECK_RTOL."""
-    from .rankone import RankOneUpdate, secular_eigenvalues  # only m = 1 loads it
+    from .rankone import secular_eigenvalues  # only m = 1 loads it
 
-    sec = secular_eigenvalues(
-        RankOneUpdate.from_direction(instance.spectrum, instance.perts.vectors[0])
-    )
+    sec = secular_eigenvalues(instance.spectrum, instance.perts.vectors[0])
     diff = np.abs(sec.values - oracle.values)
     tol = CROSSCHECK_RTOL * np.maximum(1.0, np.abs(oracle.values))
     if (diff > tol).any():

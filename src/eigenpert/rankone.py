@@ -1,4 +1,7 @@
-"""Exact spectrum of a single rank-one update D + z z^T.
+"""Exact spectrum of a single rank-one update D + z z^T, z = sqrt(D) v.
+
+Both public functions, `secular_eigenvalues` and `rankone_full`, take the
+spectrum and the direction v, and form z from them once.
 
 Eigenvalues are the roots of the secular function
     f(nu) = 1 + sum_j z_j^2 / (lambda_j - nu),
@@ -53,35 +56,6 @@ class SecularBracketError(ConvergenceError):
 
 class DeflationError(ConvergenceError):
     """A secular root landed on an undeflated pole: thresholds misconfigured."""
-
-
-class RankOneUpdate(ReadOnly):
-    """Diagonal spectrum plus update direction z (so the matrix is D + z z^T)."""
-
-    def __init__(self, spectrum: Spectrum, z):
-        arr = np.array(z, dtype=float)
-        if arr.ndim != 1 or arr.size != spectrum.d:
-            raise ValueError(f"z has shape {arr.shape}, expected ({spectrum.d},)")
-        if not np.isfinite(arr).all():
-            raise ValueError("z has non-finite entries")
-        arr.flags.writeable = False
-        vars(self).update(spectrum=spectrum, z=arr)
-
-    @classmethod
-    def from_direction(cls, spectrum: Spectrum, v) -> "RankOneUpdate":
-        """Build z = sqrt(D) v, the update produced by direction v.
-
-        A z entry past the double range makes an eigenvalue overflow
-        (nu_1 >= ||z||^2), which raises ConvergenceError.
-        """
-        v = np.asarray(v, dtype=float)
-        with np.errstate(over="ignore"):
-            z = np.sqrt(spectrum.lambdas) * v
-        if not np.isfinite(z).all():
-            raise ConvergenceError(
-                "an eigenvalue overflows: z = sqrt(lambda) v exceeds the double range"
-            )
-        return cls(spectrum, z)
 
 
 class SecularSolution(ReadOnly):
@@ -237,18 +211,28 @@ def _eigenvectors(sol: SecularSolution) -> np.ndarray:
         return _unit_rows(w / sol._dist)
 
 
-def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
-    """All eigenvalues of D + z z^T via deflation plus secular root finding.
+def secular_eigenvalues(spec: Spectrum, v) -> SecularSolution:
+    """All eigenvalues of D + z z^T, z = sqrt(D) v, via deflation plus
+    secular root finding.
 
     Non-deflated root i lies in (lambda_i, lambda_{i-1}) -- taken over the
     deflation-collapsed active coordinates -- and the top root in
-    (lambda_1, lambda_1 + ||z||^2].
+    (lambda_1, lambda_1 + ||z||^2].  A direction v whose shape is not (d,)
+    raises ValueError; a z entry past the double range makes an eigenvalue
+    overflow (nu_1 >= ||z||^2), which raises ConvergenceError.
     """
-    lam = u.spectrum.lambdas
-    d = u.spectrum.d
-    z = u.z
+    lam = spec.lambdas
+    d = spec.d
+    v = np.asarray(v, dtype=float)
+    if v.shape != (d,):
+        raise ValueError(f"v has shape {v.shape}, expected ({d},)")
     with np.errstate(over="ignore"):
+        z = np.sqrt(lam) * v
         znorm = math.sqrt(z @ z)  # as np.linalg.norm forms it
+    if not np.isfinite(z).all():
+        raise ConvergenceError(
+            "an eigenvalue overflows: z = sqrt(lambda) v exceeds the double range"
+        )
     total = znorm * znorm
     # the top eigenvalue is at least ||z||^2; deflating against an infinite
     # norm would return the unperturbed spectrum
@@ -308,14 +292,12 @@ def secular_eigenvalues(u: RankOneUpdate) -> SecularSolution:
         _z_rot=z_rot,
         _rotations=tuple(rotations),
     )
-    _check_interlacing(u, sol)
+    _check_interlacing(lam, float(np.abs(v).max()), sol)
     return sol
 
 
-def _check_interlacing(u: RankOneUpdate, sol: SecularSolution) -> None:
+def _check_interlacing(lam: np.ndarray, vinf: float, sol: SecularSolution) -> None:
     """Cheap post-solve sanity: lambda_i <= nu_i <= lambda_i (1 + d*vinf^2)."""
-    lam = u.spectrum.lambdas
-    vinf = float(np.abs(u.z / np.sqrt(lam)).max())
     vinf2 = vinf * vinf  # +inf past the double range, without a numpy warning
     slack = 1e-9 * lam
     with np.errstate(over="ignore"):  # the upper end is +inf past the double range
@@ -341,7 +323,7 @@ def rankone_full(spec: Spectrum, v) -> EigenDecomposition:
     over the active coordinates.  Deflated coordinates keep their unit
     vector, and the collision rotations are undone on the rows.
     """
-    sol = secular_eigenvalues(RankOneUpdate.from_direction(spec, v))
+    sol = secular_eigenvalues(spec, v)
     act = sol._active
     la = spec.lambdas[act]
     tight = np.abs(sol._poles) <= POLE_PROXIMITY_RTOL * la

@@ -359,23 +359,3 @@ def jacobi_eig(a: SymmetricMatrix) -> EigenDecomposition:
         raise NotPositiveDefiniteError(message, eigenvalue=smallest) from exc
     return factor_eig(low)
 
-
-def general_to_diagonal(
-    b: SymmetricMatrix, perts: PerturbationSet
-) -> tuple[Spectrum, PerturbationSet, EigenDecomposition]:
-    """Rotate to the eigenbasis of a positive definite `b`.
-
-    Returns the spectrum of b, the perturbation vectors expressed in that
-    basis (P^T v), and the eigendecomposition itself so results can be
-    mapped back to the original coordinates.
-    """
-    d = b.dim
-    if perts.m and perts.dim != d:
-        raise DimensionMismatchError(
-            f"vector 0 has length {perts.dim}, expected matrix dimension {d}",
-            vector_index=0,
-        )
-    eig = jacobi_eig(b)  # refuses a b that is not positive definite
-    spec = Spectrum(eig.values)
-    rotated = PerturbationSet(tuple(eig.basis.T @ v for v in perts.vectors), dim=d)
-    return spec, rotated, eig

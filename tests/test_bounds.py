@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenpert import bounds as bnd
@@ -394,6 +394,19 @@ class TestJIndex:
         assert bnd.eigenvalue_bound_rank1(spec, params(2, 0, 1.0), np.arange(2)) is None
 
 
+@st.composite
+def graded_rank1_cases(draw):
+    """A graded spectrum from up to 1e40 down to 1, ties allowed, and a
+    zero-free direction whose entries run from 1e-3 to 1e3 in magnitude, or
+    from 1e70 to 1e160, where c1 = 5 d^2 V^4 or w psi_inf(w) overflows."""
+    d = draw(st.integers(2, 12))
+    logs = sorted(draw(st.lists(st.floats(0.0, 40.0), min_size=d, max_size=d)), reverse=True)
+    exps = draw(st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(70.0, 160.0)),
+                         min_size=d, max_size=d))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
+    return 10.0 ** np.array(logs), np.array(signs) * 10.0 ** np.array(exps)
+
+
 class TestEigvecBounds:
     def test_rank1_formula(self):
         spec = Spectrum([1e6, 1.0])
@@ -445,6 +458,19 @@ class TestEigvecBounds:
             coarse = bnd.eigvec_bound_rank1(spec, p, i, j)
             assert refined <= coarse + 1e-15
             checked += 1
+
+    @given(graded_rank1_cases())
+    @example(([1e40, 1e30, 1e10, 1.0], [5e76, -1.0, 1.0, 1.0]))  # c1 = inf, w psi finite
+    @settings(max_examples=300, deadline=None)
+    def test_refined_never_looser_than_coarse_everywhere(self, case):
+        # the reason reports carries no note for the refined bound exceeding
+        # the coarse one: it cannot happen (eigvec_bound_rank1_refined's docstring)
+        lambdas, v = case
+        spec = Spectrum(lambdas)
+        p = bnd.BoundParams(PerturbationSet([v]))
+        i, j = np.divmod(np.arange(spec.d**2), spec.d)
+        refined = bnd.eigvec_bound_rank1_refined(spec, p, i, j)
+        assert np.all(refined <= bnd.capped(p.c1, bnd.alpha(spec.lambdas[i], spec.lambdas[j])))
 
     def test_rankm_m0_reduces_to_alpha(self):
         spec = Spectrum([4.0, 1.0])

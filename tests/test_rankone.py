@@ -10,7 +10,6 @@ from eigenpert import symmat
 from eigenpert.harness import CROSSCHECK_RTOL
 from eigenpert.rankone import (
     DeflationError,
-    RankOneUpdate,
     SecularBracketError,
     rankone_full,
     secular_eigenvalues,
@@ -26,7 +25,9 @@ from conftest import align_sign, gen_rankone_instance, mp_eigensolve, s_formula,
 
 
 def update(lams, z):
-    return RankOneUpdate(Spectrum(lams), np.asarray(z, dtype=float))
+    """(spectrum, direction) of the update D + z z^T: v = z / sqrt(lambda)."""
+    spec = Spectrum(lams)
+    return spec, np.asarray(z, dtype=float) / np.sqrt(spec.lambdas)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -106,13 +107,13 @@ def active_roots(sol):
     return by_coordinate[sol._active]
 
 
-def assert_roots_match_reference(u):
+def assert_roots_match_reference(spec, v):
     """secular_eigenvalues' active roots agree within 1e-14 relative with the
     one-root-at-a-time bisection/Newton reference."""
-    sol = secular_eigenvalues(u)
-    la = u.spectrum.lambdas[sol._active]
+    sol = secular_eigenvalues(spec, v)
+    la = spec.lambdas[sol._active]
     w = sol._z_rot[sol._active] ** 2
-    znorm = float(np.linalg.norm(u.z))
+    znorm = float(np.linalg.norm(np.sqrt(spec.lambdas) * v))
     anchors, lo, hi = _brackets_reference(la, w, znorm * znorm)
     with np.errstate(over="ignore", divide="ignore"):
         mus = [_secular_root_reference(la - la[a], w, lo[r], hi[r]) for r, a in enumerate(anchors)]
@@ -147,12 +148,12 @@ def mp_secular(la, z, poles, dps=32):
     return values, dists
 
 
-def assert_poles_match_mpmath(u, rtol=1e-13):
+def assert_poles_match_mpmath(spec, v, rtol=1e-13):
     """The pole distances lambda_j - nu_k of secular_eigenvalues agree with
     mpmath's within rtol relative, or a few subnormals where they underflow."""
-    sol = secular_eigenvalues(u)
+    sol = secular_eigenvalues(spec, v)
     act = sol._active
-    _, ref = mp_secular(u.spectrum.lambdas[act], sol._z_rot[act], sol._poles)
+    _, ref = mp_secular(spec.lambdas[act], sol._z_rot[act], sol._poles)
     floor = 4.0 * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(sol._poles - ref) <= rtol * np.abs(ref) + floor)
 
@@ -162,7 +163,7 @@ def assert_values_match_mpmath(lambdas, v, rtol=1e-13):
     eigensolve of D + z z^T, z = sqrt(D) v formed in mpmath."""
     import mpmath as mp
 
-    sol = secular_eigenvalues(RankOneUpdate.from_direction(Spectrum(lambdas), v))
+    sol = secular_eigenvalues(Spectrum(lambdas), v)
     lam = np.asarray(lambdas, dtype=float)
     with mp.workdps(30 + int(math.log10(lam[0] / lam[-1]))):
         diag = [mp.mpf(float(x)) for x in lam]
@@ -224,16 +225,15 @@ class TestLockstepRoots:
         rng = np.random.default_rng(64)
         for log_l1 in np.linspace(2.0, 11.0, 24):
             lambdas, v = graded_rank1(rng, log_l1)
-            u = RankOneUpdate.from_direction(Spectrum(lambdas), v)
-            assert_roots_match_reference(u)
-            assert_poles_match_mpmath(u)
+            spec = Spectrum(lambdas)
+            assert_roots_match_reference(spec, v)
+            assert_poles_match_mpmath(spec, v)
 
     def test_generated_instances(self):
         for seed in range(500):
             inst = gen_rankone_instance(seed)
-            u = RankOneUpdate.from_direction(inst.spectrum, inst.perts.vectors[0])
-            assert_roots_match_reference(u)
-            assert_poles_match_mpmath(u)
+            assert_roots_match_reference(inst.spectrum, inst.perts.vectors[0])
+            assert_poles_match_mpmath(inst.spectrum, inst.perts.vectors[0])
             assert_values_match_mpmath(inst.spectrum.lambdas, inst.perts.vectors[0])
 
     @given(rankone_inputs())
@@ -245,19 +245,20 @@ class TestLockstepRoots:
     @settings(max_examples=300, deadline=None)
     def test_ties_zero_and_tiny_weights(self, inputs):
         lambdas, v = inputs
-        u = RankOneUpdate.from_direction(Spectrum(lambdas), v)
-        if u.z.any() and not np.any(u.z * u.z):
+        spec = Spectrum(lambdas)
+        z = np.sqrt(spec.lambdas) * v
+        if z.any() and not np.any(z * z):
             # every z_j^2 underflows (subnormal weights): a typed error
             with pytest.raises(ConvergenceError, match="underflows"):
-                secular_eigenvalues(u)
+                secular_eigenvalues(spec, v)
             return
-        assert_roots_match_reference(u)
-        assert_poles_match_mpmath(u)
+        assert_roots_match_reference(spec, v)
+        assert_poles_match_mpmath(spec, v)
         assert_values_match_mpmath(lambdas, v)
 
     def test_subnormal_top_bracket_terminates(self):
         # ||z||^2 = 3e-322 never bisects down to NEWTON_SWITCH of itself
-        sol = secular_eigenvalues(update([2.0, 1.0], [1e-161, 1e-161]))
+        sol = secular_eigenvalues(*update([2.0, 1.0], [1e-161, 1e-161]))
         assert np.array_equal(sol.values, [2.0, 1.0])
 
     def test_rankone_full_bytes_pinned(self):
@@ -275,7 +276,7 @@ class TestLockstepRoots:
         inst = gen_rankone_instance(3)
         tied = Spectrum([5.0, 3.0, 3.0, 2.0, 1.0]), [0.4, 0.3, -0.2, 0.0, 0.5]
 
-        sol = secular_eigenvalues(RankOneUpdate.from_direction(graded, v))
+        sol = secular_eigenvalues(graded, v)
         assert not sol.deflated.any()
         values, dists = mp_secular(graded.lambdas, sol._z_rot, sol._poles)
         comps = np.abs(sol._z_rot / dists)
@@ -299,36 +300,35 @@ class TestLockstepRoots:
 class TestSecularEigenvalues:
     def test_closed_form_quadratic(self):
         # D + zz^T = [[3,1],[1,2]] with roots (5 +- sqrt(5))/2
-        sol = secular_eigenvalues(update([2.0, 1.0], [1.0, 1.0]))
+        sol = secular_eigenvalues(*update([2.0, 1.0], [1.0, 1.0]))
         hi = (5.0 + math.sqrt(5.0)) / 2.0
         lo = (5.0 - math.sqrt(5.0)) / 2.0
         np.testing.assert_allclose(sol.values, [hi, lo], rtol=1e-14)
         assert not sol.deflated.any()
 
     def test_zero_update_deflates_everything(self):
-        sol = secular_eigenvalues(update([3.0, 2.0, 1.0], [0.0, 0.0, 0.0]))
+        sol = secular_eigenvalues(Spectrum([3.0, 2.0, 1.0]), [0.0, 0.0, 0.0])
         assert np.array_equal(sol.values, [3.0, 2.0, 1.0])
         assert sol.deflated.all()
 
     def test_matches_jacobi_oracle(self):
         spec = Spectrum([100.0, 1.0])
-        z = np.array([10.0, 1.0])  # v = (1, 1)
         a = build_perturbed(spec, PerturbationSet([[1.0, 1.0]]))
         oracle = jacobi_eig(a)
-        sol = secular_eigenvalues(RankOneUpdate(spec, z))
+        sol = secular_eigenvalues(spec, [1.0, 1.0])
         np.testing.assert_allclose(sol.values, oracle.values, rtol=1e-10)
 
     def test_secular_residual(self):
         for seed in range(40):
             inst = gen_rankone_instance(seed)
-            u = RankOneUpdate.from_direction(inst.spectrum, inst.perts.vectors[0])
-            sol = secular_eigenvalues(u)
+            sol = secular_eigenvalues(inst.spectrum, inst.perts.vectors[0])
             lam = inst.spectrum.lambdas
+            z = np.sqrt(lam) * inst.perts.vectors[0]
             for k in range(sol.d):
                 if sol.deflated[k]:
                     continue
                 nu = sol.values[k]
-                terms = u.z**2 / (lam - nu)
+                terms = z**2 / (lam - nu)
                 resid = abs(1.0 + terms.sum())
                 assert resid <= 1e-8 * np.sum(np.abs(terms))
 
@@ -337,7 +337,7 @@ class TestSecularEigenvalues:
             inst = gen_rankone_instance(seed)
             v = inst.perts.vectors[0]
             lam = inst.spectrum.lambdas
-            sol = secular_eigenvalues(RankOneUpdate.from_direction(inst.spectrum, v))
+            sol = secular_eigenvalues(inst.spectrum, v)
             d = lam.size
             vinf2 = float(np.max(v * v))
             slack = 1e-9 * lam
@@ -353,10 +353,15 @@ class TestSecularEigenvalues:
         # a root the solver put below its lowest pole (0.5 under lambda_3 = 1)
         # is refused, naming its 1-based index, its value and its pole
         monkeypatch.setattr(symmat, "_dlaed9", shifted_dlaed9)
-        u = RankOneUpdate.from_direction(Spectrum([3.0, 2.0, 1.0]), [1.0, 1.0, 1.0])
         with pytest.raises(SecularBracketError) as info:
-            secular_eigenvalues(u)
+            secular_eigenvalues(Spectrum([3.0, 2.0, 1.0]), [1.0, 1.0, 1.0])
         assert str(info.value) == "secular root 3 violates interlacing: nu=0.5 lambda=1.0"
+
+    @pytest.mark.parametrize("solve", [secular_eigenvalues, rankone_full])
+    def test_direction_of_wrong_length_is_refused(self, solve):
+        # a length-1 direction is not broadcast to (0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"v has shape \(1,\), expected \(3,\)"):
+            solve(Spectrum([3.0, 2.0, 1.0]), [0.5])
 
 
 class TestBnsEigenvector:
@@ -386,13 +391,13 @@ class TestBnsEigenvector:
     def test_normalizers_match_component_formula(self):
         # [e_i]_j = C_i z_j / (lambda_j - nu_i), C_i the reciprocal norm
         inst = gen_rankone_instance(3)
-        u = RankOneUpdate.from_direction(inst.spectrum, inst.perts.vectors[0])
-        sol = secular_eigenvalues(u)
+        sol = secular_eigenvalues(inst.spectrum, inst.perts.vectors[0])
         basis = rankone_full(inst.spectrum, inst.perts.vectors[0]).basis
         lam = inst.spectrum.lambdas
+        z = np.sqrt(lam) * inst.perts.vectors[0]
         assert not sol.deflated.any()
         for i in range(sol.d):
-            comps = u.z / (lam - sol.values[i])
+            comps = z / (lam - sol.values[i])
             direct = comps / float(np.linalg.norm(comps))
             direct = align_sign(direct, basis[:, i])
             np.testing.assert_allclose(basis[:, i], direct, atol=1e-9)
@@ -464,16 +469,16 @@ class TestDeflation:
         lam = [4.0, 2.0, 1.0]
         z_defl = np.array([0.7, 0.0, 0.3])
         z_full = np.array([0.7, 1e-10, 0.3])
-        a = secular_eigenvalues(update(lam, z_defl))
-        b = secular_eigenvalues(update(lam, z_full))
+        a = secular_eigenvalues(*update(lam, z_defl))
+        b = secular_eigenvalues(*update(lam, z_full))
         np.testing.assert_allclose(a.values, b.values, atol=1e-6)
 
     def test_tied_eigenvalues_match_perturbed_full_problem(self):
         lam_tied = [2.0, 1.0, 1.0]
         lam_split = [2.0, 1.0 + 1e-10, 1.0]
         z = np.array([0.5, 0.4, 0.3])
-        a = secular_eigenvalues(update(lam_tied, z))
-        b = secular_eigenvalues(update(lam_split, z))
+        a = secular_eigenvalues(*update(lam_tied, z))
+        b = secular_eigenvalues(*update(lam_split, z))
         np.testing.assert_allclose(a.values, b.values, atol=1e-6)
 
     def test_tied_block_eigenvectors_are_valid(self):
@@ -487,7 +492,7 @@ class TestDeflation:
             assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(a)
 
     def test_flags_and_values_for_mixed_deflation(self):
-        sol = secular_eigenvalues(update([3.0, 1.0, 1.0], [0.5, 0.3, 0.4]))
+        sol = secular_eigenvalues(*update([3.0, 1.0, 1.0], [0.5, 0.3, 0.4]))
         # one secular root above 3, one above 1, and the rotated-out copy at 1
         assert sol.deflated.sum() == 1
         assert sol.values[0] > 3.0

@@ -10,7 +10,7 @@ import pytest
 
 from eigenpert import bounds as bnd
 from eigenpert import harness
-from eigenpert.rankone import RankOneUpdate, secular_eigenvalues
+from eigenpert.rankone import secular_eigenvalues
 from eigenpert.symmat import EigenDecomposition, PerturbationSet, Spectrum, SymmetricMatrix
 
 SCAN_GRID = (1e2, 1e4, 1e6, 1e8)
@@ -21,7 +21,6 @@ def _examples():
     spec = Spectrum([4.0, 2.0, 1.0])
     perts = PerturbationSet([[0.3, -0.2, 0.1]])
     inst = harness.gen_instance(3, 1, 1e4, 0)
-    update = RankOneUpdate.from_direction(spec, perts.vectors[0])
     records = harness.scan(3, 1, 3, SCAN_GRID, seed=0)
     summary = harness.certify_grid(harness.default_grid(dims=(2,), ms=(1,), lambda1s=(1e2,),
                                                         seeds=(0,)))
@@ -33,8 +32,7 @@ def _examples():
         "Instance": (inst, ("spectrum", "perts", "seed", "meta")),
         "SymmetricMatrix": (SymmetricMatrix(np.eye(2)), ("entries",)),
         "EigenDecomposition": (EigenDecomposition([2.0, 1.0], np.eye(2)), ("values", "basis")),
-        "RankOneUpdate": (update, ("spectrum", "z")),
-        "SecularSolution": (secular_eigenvalues(update), sol_fields),
+        "SecularSolution": (secular_eigenvalues(spec, perts.vectors[0]), sol_fields),
         "BoundParams": (bnd.BoundParams(perts), ("perts", "d", "m", "v_bound", "v_inf", "cm",
                                                  "c1", "w", "w_psi", "v1_abs")),
         "BoundReport": (harness.certify(inst)[0], ("kind", "entries", "passed", "notes")),

@@ -21,7 +21,6 @@ from eigenpert.symmat import (
     apply_sign_convention,
     build_perturbed,
     factor_eig,
-    general_to_diagonal,
     jacobi_eig,
 )
 from conftest import mp_eigensolve, quadratic_eigenvalues
@@ -274,6 +273,11 @@ class TestJacobi:
         assert eig.values[2] == pytest.approx(1.0988461538461538, rel=1e-15)
         assert eig.values[0] == pytest.approx(2.25e300, rel=1e-15)
 
+    def test_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            jacobi_eig(SymmetricMatrix(np.diag([1.0, -2.0])))
+        assert err.value.eigenvalue == pytest.approx(-2.0)
+
     @pytest.mark.parametrize("solve", [lambda x: jacobi_eig(SymmetricMatrix(x)), factor_eig])
     def test_non_finite_entry_is_refused(self, solve):
         with pytest.raises(ConvergenceError, match="non-finite"):
@@ -432,43 +436,3 @@ class TestJacobiMatchesReference:
             SymmetricMatrix(np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 2.0]]))
         )
 
-
-class TestGeneralToDiagonal:
-    def test_already_diagonal(self):
-        b = SymmetricMatrix(np.diag([9.0, 1.0]))
-        spec, perts, p = general_to_diagonal(b, PerturbationSet([[1.0, 2.0]]))
-        assert np.array_equal(spec.lambdas, [9.0, 1.0])
-        assert np.array_equal(p.basis, np.eye(2))
-        assert np.array_equal(perts.vectors[0], [1.0, 2.0])
-
-    def test_rotated_diagonal(self):
-        c = s = 1.0 / math.sqrt(2.0)
-        r = np.array([[c, -s], [s, c]])
-        a = r @ np.diag([9.0, 1.0]) @ r.T
-        b = SymmetricMatrix(0.5 * (a + a.T))
-        spec, _, p = general_to_diagonal(b, PerturbationSet((), dim=2))
-        np.testing.assert_allclose(spec.lambdas, [9.0, 1.0], rtol=1e-12)
-        # columns match the rotation up to the sign convention
-        for k in range(2):
-            col = p.basis[:, k]
-            ref = r[:, k] if np.dot(r[:, k], col) >= 0 else -r[:, k]
-            np.testing.assert_allclose(col, ref, atol=1e-12)
-
-    def test_round_trip_reconstruction(self):
-        rng = np.random.default_rng(5)
-        g = rng.standard_normal((5, 5))
-        a = g @ g.T + 5.0 * np.eye(5)
-        b = SymmetricMatrix(0.5 * (a + a.T))
-        vecs = [rng.standard_normal(5)]
-        spec, rotated, p = general_to_diagonal(b, PerturbationSet(vecs))
-        recon = p.basis @ np.diag(spec.lambdas) @ p.basis.T
-        assert np.linalg.norm(recon - b.entries) <= 1e-10 * np.linalg.norm(b.entries)
-        # rotated vectors reproduce the original perturbation
-        back = p.basis @ rotated.vectors[0]
-        np.testing.assert_allclose(back, vecs[0], atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        b = SymmetricMatrix(np.diag([1.0, -2.0]))
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            general_to_diagonal(b, PerturbationSet((), dim=2))
-        assert err.value.eigenvalue == pytest.approx(-2.0)
