@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import ctypes
 import io
@@ -7,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -685,6 +687,24 @@ class TestCmdScan:
             cli.main(["scan", "--d", "2", "--m", "1", "--j", "2",
                       "--lambda1", "nope", "--seed", "0"])
 
+    def test_one_point_grid(self, capsys):
+        # COUNT = 1 scans FROM alone: one row, and too few points for a slope
+        rc = cli.main(["scan", "--d", "3", "--m", "1", "--j", "2", "--lambda1", "1e2:1e2:1"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            cli.CSV_HEADER, "3,1,2,100,10,0.0939057741501395,1,1,0", "# slope: insufficient points"]
+
+    def test_grid_below_1_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--d", "3", "--m", "1", "--j", "2", "--lambda1", "0.5:10:3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "eigenpert scan: error: argument --lambda1: invalid grid '0.5:10:3'")
+
     @pytest.mark.parametrize(
         "grid, message",
         [
@@ -772,7 +792,8 @@ class TestCmdScan:
 
 SECULAR_ZNORM_OVERFLOW = "lambdas = [3.0, 2.0]\nvector = [1e200, 1e200]\n"
 
-# Every rejection `cli.main` makes, one case per site: argv and instance text
+# Every rejection `cli.main` makes, one case per site (every `raise` of the
+# instance parser among them, which TestRejectionContract checks): argv and instance text
 # ({f} is the instance file, {lib} numpy's OpenBLAS and {dlerror} the loader's
 # message for the missing symbol), the symmat attributes
 # patched first, the exit code, and the exact stderr (stdout stays empty).
@@ -783,6 +804,47 @@ REJECTIONS = {
     "eig-parse": (
         ["eig", "{f}"], "dim = 2\nlambdas = [1.0, 2.0]\n", None, 2,
         "error: line 2: lambdas[1] = 1.0 < lambdas[2] = 2.0: not descending\n"),
+    "eig-no-equals": (
+        ["eig", "{f}"], "lambdas [2.0, 1.0]\n", None, 2,
+        "error: line 1: expected 'key = value', got 'lambdas [2.0, 1.0]'\n"),
+    "eig-unparsable-value": (
+        ["eig", "{f}"], "dim = 2 +\nlambdas = [2.0, 1.0]\n", None, 2,
+        "error: line 1: cannot parse value '2 +': invalid syntax (<unknown>, line 1)\n"),
+    "eig-non-numeric-entry": (
+        ["eig", "{f}"], 'lambdas = [2.0, "x"]\n', None, 2,
+        "error: line 1: lambdas has a non-numeric entry: could not convert string to float: 'x'\n"),
+    "eig-bool-entry": (
+        ["eig", "{f}"], "lambdas = [2.0, True]\n", None, 2,
+        "error: line 1: lambdas entry True is not a finite number\n"),
+    "eig-dim-0": (
+        ["eig", "{f}"], "dim = 0\nlambdas = [2.0, 1.0]\n", None, 2,
+        "error: line 1: dim must be a positive integer, got 0\n"),
+    "eig-vectors-not-array": (
+        ["eig", "{f}"], "lambdas = [2.0, 1.0]\nvectors = 3\n", None, 2,
+        "error: line 2: vectors must be an array of arrays\n"),
+    "eig-vectors-row-not-array": (
+        ["eig", "{f}"], "lambdas = [2.0, 1.0]\nvectors = [[1.0, 1.0], 3]\n", None, 2,
+        "error: line 2: vectors[1] is not an array\n"),
+    "eig-vector-not-array": (
+        ["eig", "{f}"], "lambdas = [2.0, 1.0]\nvector = 3\n", None, 2,
+        "error: line 2: vector must be an array\n"),
+    "eig-seed-not-integer": (
+        ["eig", "{f}"], "lambdas = [2.0, 1.0]\nseed = 1.5\n", None, 2,
+        "error: line 2: seed must be an integer, got 1.5\n"),
+    "eig-unknown-key": (
+        ["eig", "{f}"], "lambdas = [2.0, 1.0]\nlambda = [2.0, 1.0]\n", None, 2,
+        "error: line 2: unknown key 'lambda'\n"),
+    "eig-missing-lambdas": (
+        ["eig", "{f}"], "dim = 2\n", None, 2, "error: line 0: missing required key 'lambdas'\n"),
+    "eig-lambdas-vs-dim": (
+        ["eig", "{f}"], "dim = 3\nlambdas = [2.0, 1.0]\n", None, 2,
+        "error: line 2: lambdas has 2 entries but dim = 3\n"),
+    "eig-not-positive": (  # the first entry that is not positive, not the smallest
+        ["eig", "{f}"], "lambdas = [1.0, 0.0, -1.0]\n", None, 2,
+        "error: line 1: lambdas[2] = 0.0 is not positive\n"),
+    "eig-vector-length": (  # the second vector, on line 3
+        ["eig", "{f}"], "lambdas = [2.0, 1.0]\nvector = [1.0, 1.0]\nvector = [1.0]\n", None, 2,
+        "error: line 3: vector 2 has 1 entries, expected 2\n"),
     "eig-secular-m2": (
         ["eig", "{f}", "--method", "secular"],
         "lambdas = [2.0, 1.0]\nvector = [1.0, 1.0]\nvector = [0.5, 1.0]\n", None, 2,
@@ -898,6 +960,17 @@ def instance_files(draw):
     return text, len(vectors)
 
 
+def _run_rejection(monkeypatch, f, case) -> int:
+    """`cli.main` on REJECTIONS[case], its instance text written to the
+    path f and its symmat attributes patched; the exit code."""
+    args, text, patch, _, _ = REJECTIONS[case]
+    if text is not None:
+        f.write_text(text)
+    for name, value in (patch or {}).items():
+        monkeypatch.setattr(symmat, name, value)
+    return cli.main([a.format(f=f) for a in args])
+
+
 def _missing_symbol_fields() -> dict:
     """{lib} and {dlerror} for the symbol `nope` of numpy's OpenBLAS."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -913,17 +986,44 @@ class TestRejectionContract:
     @pytest.mark.parametrize("case", REJECTIONS)
     @pytest.mark.filterwarnings("error")
     def test_rejection_bytes_pinned(self, capsys, monkeypatch, tmp_path, case):
-        args, text, patch, code, stderr = REJECTIONS[case]
+        _, _, patch, code, stderr = REJECTIONS[case]
         f = tmp_path / "instance.txt"
-        if text is not None:
-            f.write_text(text)
-        for name, value in (patch or {}).items():
-            monkeypatch.setattr(symmat, name, value)
-        assert cli.main([a.format(f=f) for a in args]) == code
+        assert _run_rejection(monkeypatch, f, case) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         fields = _missing_symbol_fields() if patch else {}
         assert captured.err == stderr.format(f=f, **fields)
+
+    def test_every_parse_raise_has_a_case(self, capsys, monkeypatch, tmp_path):
+        # each `raise` line of parse_instance_text and its nested as_floats
+        # runs in some REJECTIONS case
+        parse = cli.parse_instance_text.__code__
+        traced = {parse, *(c for c in parse.co_consts if isinstance(c, types.CodeType))}
+        ran = set()
+
+        def lines(frame, event, arg):
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return lines
+
+        def calls(frame, event, arg):
+            return lines if frame.f_code in traced else None
+
+        previous = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            for case in REJECTIONS:
+                with monkeypatch.context() as patched:
+                    _run_rejection(patched, tmp_path / "instance.txt", case)
+        finally:
+            sys.settrace(previous)
+        capsys.readouterr()
+        module = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        (func,) = [node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)
+                   and node.name == "parse_instance_text"]
+        raises = {node.lineno for node in ast.walk(func) if isinstance(node, ast.Raise)}
+        assert len(raises) > 10
+        assert sorted(raises - ran) == []
 
     @given(instance_files())
     @settings(
