@@ -116,8 +116,8 @@ def parse_instance_text(text: str, source: str = "<string>") -> Instance:
                 raise InstanceParseError(line_no, "vectors must be an array of arrays")
             for k, vec in enumerate(value):
                 if not isinstance(vec, (list, tuple)):
-                    raise InstanceParseError(line_no, f"vectors[{k}] is not an array")
-                vectors.append(as_floats(vec, f"vectors[{k}]"))
+                    raise InstanceParseError(line_no, f"vectors[{k + 1}] is not an array")
+                vectors.append(as_floats(vec, f"vectors[{k + 1}]"))
                 vector_lines.append(line_no)
         elif key == "vector":
             if not isinstance(value, (list, tuple)):

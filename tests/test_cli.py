@@ -824,7 +824,11 @@ REJECTIONS = {
         "error: line 2: vectors must be an array of arrays\n"),
     "eig-vectors-row-not-array": (
         ["eig", "{f}"], "lambdas = [2.0, 1.0]\nvectors = [[1.0, 1.0], 3]\n", None, 2,
-        "error: line 2: vectors[1] is not an array\n"),
+        "error: line 2: vectors[2] is not an array\n"),
+    "eig-vectors-row-non-numeric": (  # the row's 1-based index, as in every message
+        ["eig", "{f}"], 'lambdas = [2.0, 1.0]\nvectors = [[1.0, 1.0], [1.0, "x"]]\n', None, 2,
+        "error: line 2: vectors[2] has a non-numeric entry: "
+        "could not convert string to float: 'x'\n"),
     "eig-vector-not-array": (
         ["eig", "{f}"], "lambdas = [2.0, 1.0]\nvector = 3\n", None, 2,
         "error: line 2: vector must be an array\n"),
