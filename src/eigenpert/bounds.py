@@ -6,10 +6,11 @@ the perturbation directions alone -- never from the perturbed matrix.
 `reports` compares the bounds with an eigendecomposition it is given.
 
 Indices are 0-based throughout the library; the CLI translates to the
-1-based convention used in file formats and printed tables.  The indices
-`i`, `j` (and the arguments of `alpha`) may be integer arrays that
-broadcast, so one call tabulates a bound over a whole index grid; scalar
-arguments give Python floats.
+1-based convention used in file formats and printed tables.  The
+eigenvalue bounds return every row i = 0..d-1 at once.  The indices `i`,
+`j` of the eigenvector bounds (and the arguments of `alpha`) may be
+integer arrays that broadcast, so one call tabulates a bound over a whole
+index grid; scalar arguments give Python floats.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ class BoundParams(ReadOnly):
     refined eigenvalue bound can apply (m = 1 and no entry of v_1 is zero),
     and None otherwise.
 
-    Two compare equal when they are built from the same PerturbationSet;
+    Compares and hashes by identity, as its PerturbationSet does;
     `from_perturbations` returns one shared instance per PerturbationSet
-    object (it hashes by identity, and its vectors are read-only).
+    object (its vectors are read-only).
     """
 
     def __init__(self, perts: PerturbationSet):
@@ -131,39 +132,35 @@ class BoundParams(ReadOnly):
                           v1_abs=v1_abs if v1_abs.all() else None)
         vars(self)["cm"] = cm_constant(self)  # reads d, m and v_bound
 
-    def __eq__(self, other):
-        return self.perts is other.perts if type(other) is BoundParams else NotImplemented
-
-    def __hash__(self):
-        return hash(self.perts)
-
     @classmethod
     @functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)
     def from_perturbations(cls, perts: PerturbationSet) -> "BoundParams":
         return cls(perts)
 
 
-def eigenvalue_bound_rankm(spec: Spectrum, p: BoundParams, i) -> tuple:
-    """Interval [lambda_i, lambda_i (1 + m d v_inf^2)] certain to contain nu_i.
+def eigenvalue_bound_rankm(spec: Spectrum, p: BoundParams) -> tuple:
+    """The intervals [lambda_i, lambda_i (1 + m d v_inf^2)] certain to contain
+    nu_i, as the arrays (lower, upper) over the rows i = 0..d-1.
 
     The upper end is +inf past the double range (vacuous, like a saturated C_m).
     """
-    lam = spec.lambdas[i]
+    lam = spec.lambdas
     with np.errstate(over="ignore"):
-        return _value(lam), _value(lam * (1.0 + p.m * p.d * _power(p.v_inf, 2)))
+        return lam, lam * (1.0 + p.m * p.d * _power(p.v_inf, 2))
 
 
-def eigenvalue_bound_rank1(spec: Spectrum, p: BoundParams, i):
-    """lambda_i (1 + (d-i) vinf |v_{j_i}|): the refined upper bound for m = 1,
-    or None where it does not apply (m != 1, a repeated eigenvalue or a zero
-    entry of v); the rank-m interval covers those.
+def eigenvalue_bound_rank1(spec: Spectrum, p: BoundParams):
+    """lambda_i (1 + (d-i) vinf |v_{j_i}|) over the rows i = 0..d-1: the
+    refined upper bound for m = 1, or None where it does not apply (m != 1,
+    a repeated eigenvalue or a zero entry of v); the rank-m interval covers
+    those.
 
     The pivot j_i is the smallest j in {i..d-1} maximizing |v_j| subject to
         lambda_j >= lambda_i (1 - sqrt(lambda_j/lambda_i) (d-i) vinf |v_j|)
     (0-based i, so d-i counts the trailing coordinates including i).
-    The feasible set always contains j = i.  For an array i, one feasibility
-    mask over the rows i and the columns j >= i, then a masked argmax whose
-    first maximum is the smallest j.
+    The feasible set always contains j = i.  One feasibility mask over the
+    rows i and the columns j >= i, then a masked argmax whose first maximum
+    is the smallest j.
 
     Never looser than the rank-m interval at m = 1; strictly tighter whenever
     |v_{j_i}| < d vinf / (d - i).
@@ -172,23 +169,16 @@ def eigenvalue_bound_rank1(spec: Spectrum, p: BoundParams, i):
     if mag is None or not spec.is_strict:
         return None
     lam = spec.lambdas
-    d = spec.d
-    idx, _, _, upper, tail = _layout(d)
+    _, _, _, upper, tail = _layout(spec.d)
+    # the table's alpha is sqrt(lambda_j / lambda_i) for j >= i; the mask
+    # drops the columns j < i, where it is sqrt(lambda_i / lambda_j).  Past
+    # the double range the bound is +inf, vacuous like a saturated C_m
     a = ratio_table(spec)[1]
-    if i is not idx:  # the layout's own index array is the full grid: in range, rows in order
-        i = np.asarray(i)
-        out_of_range = (i < 0) | (i >= d)
-        if out_of_range.any():
-            raise IndexError(f"index {i[out_of_range].flat[0]} out of range for d={d}")
-        a, upper, tail = a[i], idx >= i[..., None], (d - i)[..., None]
-    # sqrt(lambda_j / lambda_i) for j >= i; the mask drops the columns j < i,
-    # where the table holds lambda_i / lambda_j.  Past the double range the
-    # bound is +inf, vacuous like a saturated C_m
     with np.errstate(over="ignore"):
-        threshold = lam[i][..., None] * (1.0 - a * tail * p.v_inf * mag)
+        threshold = lam[:, None] * (1.0 - a * tail * p.v_inf * mag)
         feasible = upper & (lam >= threshold)
         ji = np.argmax(np.where(feasible, mag, -1.0), axis=-1)
-        return _value(lam[i] * (1.0 + (d - i) * p.v_inf * mag[ji]))
+        return lam * (1.0 + tail[:, 0] * p.v_inf * mag[ji])
 
 
 def psi(rho: float, w: float) -> float:
@@ -303,7 +293,8 @@ class BoundEntry(NamedTuple):
 
 
 # One record per BoundEntry, fields in the same order.  Its scalar type is
-# np.record, the type a recarray view needs, so the view converts nothing.
+# np.record, so the rows of an entries array read their fields as
+# attributes (e.side, e.i).
 ENTRY_DTYPE = np.dtype(
     (
         np.record,
@@ -330,13 +321,13 @@ REPORT_KINDS = (
 class BoundReport(NamedTuple):
     """All entries for one inequality kind on one instance.
 
-    `entries` is one record array of ENTRY_DTYPE: its columns read as
-    attributes (`entries.slack`), and iterating it yields records whose
-    fields do too (`e.side`, `e.i`).
+    `entries` is one structured array of ENTRY_DTYPE: its columns read by
+    field name (`entries["slack"]`), and iterating it yields records whose
+    fields read as attributes (`e.side`, `e.i`).
     """
 
     kind: str
-    entries: np.recarray
+    entries: np.ndarray
     passed: bool
     notes: tuple = ()
 
@@ -344,20 +335,18 @@ class BoundReport(NamedTuple):
     def worst_slack(self) -> float:
         if not len(self.entries):
             return math.inf
-        return float(self.entries.slack.min())
+        return float(self.entries["slack"].min())
 
 
 def make_report(kind: str, entries, notes=()) -> BoundReport:
-    """A report from a record array of ENTRY_DTYPE or a sequence of
+    """A report from a structured array of ENTRY_DTYPE or a sequence of
     BoundEntry rows; `passed` applies the pass rule to every entry."""
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
     entries = np.asarray(entries, dtype=ENTRY_DTYPE)
     ok = passes(entries["slack"], entries["bound"])
     passed = int(np.count_nonzero(ok)) == ok.size  # cheaper than ok.all() on small arrays
-    return BoundReport(
-        kind=kind, entries=entries.view(np.recarray), passed=passed, notes=tuple(notes)
-    )
+    return BoundReport(kind=kind, entries=entries, passed=passed, notes=tuple(notes))
 
 
 @functools.lru_cache(maxsize=REALIZATION_CACHE_SIZE)
@@ -419,17 +408,17 @@ def reports(
     runs once, over the whole block, and each report passes when every
     entry of its slice does (`make_report`'s verdict on that slice)."""
     d = spec.d
-    idx, i, j, _, _ = _layout(d)
+    _, i, j, _, _ = _layout(d)
     nus = eig.values
 
-    lo, hi = eigenvalue_bound_rankm(spec, p, idx)
+    lo, hi = eigenvalue_bound_rankm(spec, p)
     interval = np.empty(2 * d)  # each interval as its (lower, upper) pair
     interval[0::2] = lo
     interval[1::2] = hi
     # (kind, observed, bound, notes) of each report, in report order
     parts = [("eigenvalue-rankm", nus.repeat(2), interval, ())]
 
-    b6 = eigenvalue_bound_rank1(spec, p, idx)
+    b6 = eigenvalue_bound_rank1(spec, p)
     if b6 is not None:
         notes = [
             f"refinement wins at i={k + 1}: {b:.6g} < {h:.6g}"
@@ -462,6 +451,6 @@ def reports(
     block["slack"] = slack
     verdicts = np.logical_and.reduceat(passes(slack, bound), starts).tolist()
     return [
-        BoundReport(kind, block[a:b].view(np.recarray), passed, tuple(notes))
+        BoundReport(kind, block[a:b], passed, tuple(notes))
         for (kind, _, _, notes), a, b, passed in zip(parts, starts.tolist(), stops, verdicts)
     ]

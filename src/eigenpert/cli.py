@@ -30,6 +30,7 @@ import numpy as np
 
 from .symmat import (
     ConvergenceError,
+    DimensionMismatchError,
     InputError,
     Instance,
     LapackBindingError,
@@ -136,36 +137,21 @@ def parse_instance_text(text: str, source: str = "<string>") -> Instance:
     if lambdas is None:
         raise InstanceParseError(0, "missing required key 'lambdas'")
     lambdas_line = first_line["lambdas"]
-    if dim is None:
-        dim = len(lambdas)
-    if len(lambdas) != dim:
+    if dim is not None and dim != len(lambdas):
         raise InstanceParseError(
             lambdas_line, f"lambdas has {len(lambdas)} entries but dim = {dim}"
         )
-    for idx, lam in enumerate(lambdas):
-        if not lam > 0.0:
-            raise InstanceParseError(
-                lambdas_line, f"lambdas[{idx + 1}] = {lam!r} is not positive"
-            )
-    for idx in range(len(lambdas) - 1):
-        if lambdas[idx] < lambdas[idx + 1]:
-            raise InstanceParseError(
-                lambdas_line,
-                f"lambdas[{idx + 1}] = {lambdas[idx]!r} < lambdas[{idx + 2}] = "
-                f"{lambdas[idx + 1]!r}: not descending",
-            )
-    for k, vec in enumerate(vectors):
-        if len(vec) != dim:
-            raise InstanceParseError(
-                vector_lines[k], f"vector {k + 1} has {len(vec)} entries, expected {dim}"
-            )
-
-    return Instance(
-        spectrum=Spectrum(np.array(lambdas)),
-        perts=PerturbationSet(tuple(np.array(v) for v in vectors), dim=dim),
-        seed=seed,
-        meta=recipe,
-    )
+    # the constructors check positivity, order and vector lengths; their
+    # messages gain the line they point at
+    try:
+        spectrum = Spectrum(lambdas)
+    except InputError as exc:
+        raise InstanceParseError(lambdas_line, str(exc)) from exc
+    try:
+        perts = PerturbationSet(vectors, dim=len(lambdas))
+    except DimensionMismatchError as exc:
+        raise InstanceParseError(vector_lines[exc.vector_index], str(exc)) from exc
+    return Instance(spectrum=spectrum, perts=perts, seed=seed, meta=recipe)
 
 
 def load_instance(path: str) -> Instance:
@@ -210,7 +196,7 @@ def render_bounds_csv(reports) -> str:
 
     lines = [BOUNDS_CSV_HEADER]
     for rep in reports:
-        ok_column = bnd.passes(rep.entries.slack, rep.entries.bound).tolist()
+        ok_column = bnd.passes(rep.entries["slack"], rep.entries["bound"]).tolist()
         for (i, j, observed, bound, slack, side), ok in zip(rep.entries.tolist(), ok_column):
             lines.append(
                 ",".join(
@@ -262,7 +248,7 @@ def cmd_eig(args) -> int:
 
 def _bound_cells(report, n: int) -> list:
     """A report's bound column as table cells; n dashes for an absent kind."""
-    return [_fmt(b) for b in report.entries.bound.tolist()] if report else ["-"] * n
+    return [_fmt(b) for b in report.entries["bound"].tolist()] if report else ["-"] * n
 
 
 def cmd_bounds(args) -> int:
@@ -284,22 +270,23 @@ def cmd_bounds(args) -> int:
     # certify lists eigenvalue-rankm as (lower, upper) pairs in index order,
     # and every eigenvector kind over the same row-major (i, j) grid
     ev = by_kind["eigenvalue-rankm"].entries
-    lo, hi = ev[ev.side == "lower"], ev[ev.side == "upper"]
-    ok = bnd.passes(lo.slack, lo.bound) & bnd.passes(hi.slack, hi.bound)
+    lo, hi = ev[ev["side"] == "lower"], ev[ev["side"] == "upper"]
+    ok = bnd.passes(lo["slack"], lo["bound"]) & bnd.passes(hi["slack"], hi["bound"])
     b6 = _bound_cells(by_kind.get("eigenvalue-rank1"), len(hi))
     print("eigenvalues:")
     print("  i  nu_i  interval_lo  interval_hi  bound_rank1  pass")
-    rows = zip(hi.i.tolist(), hi.observed.tolist(), lo.bound.tolist(), hi.bound.tolist())
+    rows = zip(hi["i"].tolist(), hi["observed"].tolist(), lo["bound"].tolist(),
+               hi["bound"].tolist())
     for (i, nu, blo, bhi), b6s, good in zip(rows, b6, ok.tolist()):
         print(f"  {i + 1}  {_fmt(nu)}  {_fmt(blo)}  {_fmt(bhi)}  {b6s}  {'ok' if good else 'FAIL'}")
 
     vec = by_kind["eigvec-rankm"].entries
     b8 = _bound_cells(by_kind.get("eigvec-rank1"), len(vec))
     b9 = _bound_cells(by_kind.get("eigvec-rank1-refined"), len(vec))
-    ok = bnd.passes(vec.slack, vec.bound)
+    ok = bnd.passes(vec["slack"], vec["bound"])
     print("eigenvector coordinates:")
     print("  i  j  observed  bound_rank1  bound_refined  bound_rankm  pass")
-    rows = zip(vec.i.tolist(), vec.j.tolist(), vec.observed.tolist(), vec.bound.tolist())
+    rows = vec[["i", "j", "observed", "bound"]].tolist()
     for (i, j, observed, bm), c8, c9, good in zip(rows, b8, b9, ok.tolist()):
         print(
             f"  {i + 1}  {j + 1}  {_fmt(observed)}  {c8}  {c9}  "

@@ -82,7 +82,8 @@ class ReadOnly:
 
 class Spectrum(ReadOnly):
     """Eigenvalues of the unperturbed matrix: strictly positive, descending.
-    Compares and hashes by identity."""
+    A rejection names the first entry at fault 1-based, as instance files
+    count.  Compares and hashes by identity."""
 
     def __init__(self, lambdas):
         arr = np.array(lambdas, dtype=float)
@@ -90,13 +91,15 @@ class Spectrum(ReadOnly):
             raise InputError("spectrum must be a non-empty 1-D sequence")
         if not np.isfinite(arr).all():
             raise InputError("spectrum entries must be finite")
-        if not (arr > 0.0).all():
-            bad = int(np.argmin(arr))
-            raise InputError(f"spectrum entries must be positive; lambda[{bad}] = {arr[bad]}")
+        positive = arr > 0.0
+        if not positive.all():
+            k = int(np.argmin(positive))
+            raise InputError(f"lambdas[{k + 1}] = {float(arr[k])!r} is not positive")
         rises = arr[1:] > arr[:-1]
         if rises.any():
-            bad = int(np.argmax(rises))
-            raise InputError(f"spectrum must be non-increasing; violated at index {bad}")
+            k = int(np.argmax(rises))
+            raise InputError(f"lambdas[{k + 1}] = {float(arr[k])!r} < lambdas[{k + 2}] = "
+                             f"{float(arr[k + 1])!r}: not descending")
         arr.flags.writeable = False
         vars(self)["lambdas"] = arr
 
@@ -112,7 +115,8 @@ class Spectrum(ReadOnly):
 
 class PerturbationSet(ReadOnly):
     """The rank-one directions v_1..v_m and their max infinity norm `v_inf`.
-    Compares and hashes by identity."""
+    A rejection names the vector at fault 1-based, and `vector_index` holds
+    its 0-based index.  Compares and hashes by identity."""
 
     def __init__(self, vectors, dim: int | None = None):
         vecs = []
@@ -120,14 +124,14 @@ class PerturbationSet(ReadOnly):
         for k, v in enumerate(vectors):
             arr = np.array(v, dtype=float)
             if arr.ndim != 1:
-                raise DimensionMismatchError(f"vector {k} is not 1-D", vector_index=k)
+                raise DimensionMismatchError(f"vector {k + 1} is not 1-D", vector_index=k)
             if not np.isfinite(arr).all():
-                raise InputError(f"vector {k} has non-finite entries")
+                raise InputError(f"vector {k + 1} has non-finite entries")
             if d is None:
                 d = int(arr.size)
             elif arr.size != d:
                 raise DimensionMismatchError(
-                    f"vector {k} has length {arr.size}, expected {d}", vector_index=k
+                    f"vector {k + 1} has {arr.size} entries, expected {d}", vector_index=k
                 )
             arr.flags.writeable = False
             vecs.append(arr)

@@ -146,13 +146,14 @@ class TestCertify:
             assert [(e.i, e.j) for e in entries] == [(i, j) for i in range(4) for j in range(4)]
             for e in entries:
                 assert e.bound == fn(inst.spectrum, params, e.i, e.j)
+        b6 = bnd.eigenvalue_bound_rank1(inst.spectrum, params)
         for e in reports["eigenvalue-rank1"].entries:
-            assert e.bound == bnd.eigenvalue_bound_rank1(inst.spectrum, params, e.i)
+            assert e.bound == b6[e.i]
         ev = reports["eigenvalue-rankm"].entries
         assert [e.side for e in ev[:2]] == ["lower", "upper"]
+        lo, hi = bnd.eigenvalue_bound_rankm(inst.spectrum, params)
         for e in ev:
-            lo, hi = bnd.eigenvalue_bound_rankm(inst.spectrum, params, e.i)
-            assert e.bound == (lo if e.side == "lower" else hi)
+            assert e.bound == (lo if e.side == "lower" else hi)[e.i]
 
     def test_rows_rebuild_certify_reports(self):
         # the row path (BoundEntry rows into make_report) rebuilds every
@@ -308,9 +309,9 @@ class TestCertify:
         # at m = 0 the oracle returns nu_i = lambda_i exactly here, so the
         # lower end of each interval is met with slack +0.0, never -0.0
         rep = harness.certify(harness.gen_instance(5, 0, 1.0, 0))[0]
-        lower = rep.entries[rep.entries.side == "lower"]
-        assert (lower.observed == lower.bound).all()
-        assert (lower.slack == 0.0).all() and not np.signbit(lower.slack).any()
+        lower = rep.entries[rep.entries["side"] == "lower"]
+        assert (lower["observed"] == lower["bound"]).all()
+        assert (lower["slack"] == 0.0).all() and not np.signbit(lower["slack"]).any()
 
     @pytest.mark.parametrize(
         "lambdas, vectors, n_reports",

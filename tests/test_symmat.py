@@ -91,10 +91,11 @@ class TestTypes:
         assert s.d == 3
         assert s.is_strict
         assert not Spectrum([2.0, 1.0, 1.0]).is_strict
-        with pytest.raises(ValueError, match="positive"):
-            Spectrum([1.0, 0.0])
-        with pytest.raises(ValueError, match="non-increasing"):
-            Spectrum([1.0, 2.0])
+        # the first entry at fault, 1-based, in the instance parser's words
+        with pytest.raises(ValueError, match=r"^lambdas\[2\] = 0\.0 is not positive$"):
+            Spectrum([1.0, 0.0, -1.0])
+        with pytest.raises(ValueError, match=r"^lambdas\[2\] = 2\.0 < lambdas\[3\] = 3\.0: not "):
+            Spectrum([2.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
             Spectrum([])
 
@@ -104,7 +105,8 @@ class TestTypes:
         assert p.v_inf == 3.0
         p0 = PerturbationSet((), dim=4)
         assert p0.v_inf == 0.0
-        with pytest.raises(DimensionMismatchError) as err:
+        message = "^vector 2 has 3 entries, expected 2$"
+        with pytest.raises(DimensionMismatchError, match=message) as err:
             PerturbationSet([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
         assert err.value.vector_index == 1
 
