@@ -94,7 +94,8 @@ class TestTypes:
         # the first entry at fault, 1-based, in the instance parser's words
         with pytest.raises(ValueError, match=r"^lambdas\[2\] = 0\.0 is not positive$"):
             Spectrum([1.0, 0.0, -1.0])
-        with pytest.raises(ValueError, match=r"^lambdas\[2\] = 2\.0 < lambdas\[3\] = 3\.0: not "):
+        message = r"^lambdas\[2\] = 2\.0 < lambdas\[3\] = 3\.0: not descending$"
+        with pytest.raises(ValueError, match=message):
             Spectrum([2.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
             Spectrum([])
